@@ -23,4 +23,13 @@
 // legacy order, then a parallel pass (Config.Workers) applies the pure
 // per-client transforms — so a 10M-client population builds in well under
 // a second, bit-identical for any worker count.
+//
+// Client updates are defined by one expression per element i,
+// float32(math.Sin(float64(i)*0.01+φ) * mag), and are bit-identical to it.
+// The kernel evaluates most elements from lazily built per-population
+// sin/cos tables of i·0.01 through the angle-addition identity, with an
+// error bound ε = 8·ulp(x_max) + 1e-14 derived in perturb: an element whose
+// interval [A−ε, A+ε] does not map to a single float32 evaluates the
+// definition itself, so goldens, .traj files and benchmark fingerprints do
+// not depend on the fast path.
 package flwork

@@ -1,8 +1,9 @@
 package flwork
 
 import (
-	"fmt"
 	"math"
+	"strconv"
+	"sync"
 
 	"repro/internal/model"
 	"repro/internal/par"
@@ -63,6 +64,12 @@ type Population struct {
 	BaseTrainTime sim.Duration
 	// ShareFactor divides compute for mobile clients packed 8-per-host.
 	ShareFactor float64
+
+	// sinA and cosA tabulate sin and cos of a_i = i·0.01 over the model's
+	// physical length for perturb's fast path. Built on first use (tabOnce),
+	// so synthesis never pays for them.
+	tabOnce    sync.Once
+	sinA, cosA []float64
 }
 
 // Config creates a population.
@@ -165,8 +172,15 @@ func (p *Population) Client(i int) *Client {
 
 // ClientID derives client i's wire identity on demand ("client-0042") —
 // the legacy per-client ID string, minus 10M resident Sprintf results.
+// For a client index i ≥ 0 the bytes match fmt.Sprintf("client-%04d", i);
+// built in a stack buffer, the result string is the only allocation.
 func (p *Population) ClientID(i int) string {
-	return fmt.Sprintf("client-%04d", i)
+	var buf [32]byte
+	b := append(buf[:0], "client-"...)
+	for lim := 1000; lim > 1 && i < lim; lim /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
 // TrainTime returns how long client c needs for one local training pass.
@@ -212,17 +226,85 @@ func (p *Population) LocalUpdateInto(dst *tensor.Tensor, c *Client, global *tens
 	p.perturb(dst, c, round)
 }
 
-// perturb applies the deterministic client/round perturbation in place.
+// perturb applies the deterministic client/round perturbation in place:
+// u[i] += float32(math.Sin(float64(i)*0.01+phase) * mag), the definition
+// perturbTerm evaluates. The result is bit-identical to that definition for
+// every element; most elements take a table-driven fast path instead.
+//
+// Fast path. With a_i = i·0.01 tabulated as S_i = sin a_i, C_i = cos a_i,
+// the angle-addition identity gives A = S_i·cos φ + C_i·sin φ ≈ sin(a_i+φ)
+// for two multiplies and an add instead of a math.Sin call. A differs from
+// the definition's math.Sin(x), x = fl(a_i + φ), by at most
+//
+//	|x − (a_i+φ)|         ≤ ulp(x_max)   the argument's rounding: ½ ulp of
+//	                                     the add, plus ½ ulp of a_i should
+//	                                     the compiler fuse i·0.01+φ (FMA)
+//	table, cos φ, sin φ,  ≲ 1.6e-15      each math.Sin/Cos within ~1 ulp of
+//	the combine and the                  1 (Cephes: peak 2.1e-16), three
+//	definition's math.Sin                roundings in A, |S|,|C| ≤ 1
+//
+// where x_max = n·0.01 + |φ| bounds |x| and sin is 1-Lipschitz. eps =
+// 8·ulp(x_max) + 1e-14 covers both terms with at least a 6× margin (and the
+// ½ ulp roundings of A±eps), so math.Sin(x) ∈ [A−eps, A+eps]. Both steps
+// after it — y ↦ fl(y·mag) for mag > 0, then the float32 conversion — are
+// monotone, so when the interval's two ends convert to the same float32,
+// the definition converts to it too and the fast path is exact. Otherwise
+// (a float32 rounding boundary lies within eps, a few elements per million
+// at the default PhysScale) the element takes the definition itself. The
+// ends are never both ±0, which compare equal but add differently to −0:
+// that needs eps·mag below float32's smallest subnormal, while eps ≥ 1e-14
+// and mag ≥ 1.6e-10 for any int round.
+//
+// eps grows with the vector length through ulp(x_max), so full-fidelity
+// (PhysScale 1) vectors stay exact and merely fall back more often. Tensors
+// whose length is not the model's PhysLen take the definition throughout.
 func (p *Population) perturb(u *tensor.Tensor, c *Client, round int) {
 	// Perturbation magnitude decays with rounds (local steps shrink as the
 	// model converges); direction is client-specific via LabelSkew.
 	mag := 0.5 / math.Sqrt(float64(round)+1)
 	phase := c.LabelSkew * 2 * math.Pi
-	for i := range u.Data {
-		// Deterministic pseudo-gradient: smooth in i, client-phase-shifted.
-		g := math.Sin(float64(i)*0.01+phase) * mag
-		u.Data[i] += float32(g)
+	data := u.Data
+	sinA, cosA := p.tables()
+	if len(data) != len(sinA) {
+		for i := range data {
+			data[i] += perturbTerm(i, phase, mag)
+		}
+		return
 	}
+	cosA = cosA[:len(sinA)]
+	data = data[:len(sinA)]
+	sinP, cosP := math.Sincos(phase)
+	xmax := float64(len(data))*0.01 + math.Abs(phase)
+	eps := 8*(math.Nextafter(xmax, math.Inf(1))-xmax) + 1e-14
+	for i, s := range sinA {
+		a := s*cosP + cosA[i]*sinP
+		g := float32((a - eps) * mag)
+		if g != float32((a+eps)*mag) {
+			g = perturbTerm(i, phase, mag)
+		}
+		data[i] += g
+	}
+}
+
+// perturbTerm is the perturbation's definition for element i: a
+// deterministic pseudo-gradient, smooth in i, client-phase-shifted.
+func perturbTerm(i int, phase, mag float64) float32 {
+	g := math.Sin(float64(i)*0.01+phase) * mag
+	return float32(g)
+}
+
+// tables returns the lazily built sin/cos tables of a_i = i·0.01 over the
+// model's physical length (16 B per element: 45 KB for ResNet-18 at the
+// default PhysScale).
+func (p *Population) tables() (sinA, cosA []float64) {
+	p.tabOnce.Do(func() {
+		n := p.Model.PhysLen()
+		p.sinA, p.cosA = make([]float64, n), make([]float64, n)
+		for i := range p.sinA {
+			p.sinA[i], p.cosA[i] = math.Sincos(float64(i) * 0.01)
+		}
+	})
+	return p.sinA, p.cosA
 }
 
 // Curve is the accuracy-vs-round learning curve a(r) = Amax·(1 − e^{−r/Tau})

@@ -1,11 +1,16 @@
 package flwork
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/tensor"
 )
 
 func pop(class ClientClass, n int) *Population {
@@ -54,11 +59,29 @@ func TestPopulationWorkersBitIdentical(t *testing.T) {
 
 func TestClientIDFormat(t *testing.T) {
 	p := pop(Mobile, 10)
-	if got := p.ClientID(7); got != "client-0007" {
-		t.Fatalf("ClientID(7) = %q", got)
+	for i, want := range map[int]string{
+		0:      "client-0000",
+		7:      "client-0007",
+		9:      "client-0009",
+		999:    "client-0999",
+		9999:   "client-9999",
+		10000:  "client-10000",
+		123456: "client-123456",
+	} {
+		if got := p.ClientID(i); got != want {
+			t.Fatalf("ClientID(%d) = %q, want %q", i, got, want)
+		}
 	}
-	if got := p.ClientID(123456); got != "client-123456" {
-		t.Fatalf("ClientID(123456) = %q", got)
+	// Byte-identical to the fmt definition over client indices.
+	for _, i := range []int{1, 10, 99, 100, 255, 256, 1000, 4096, 99999, math.MaxInt} {
+		if got, want := p.ClientID(i), fmt.Sprintf("client-%04d", i); got != want {
+			t.Fatalf("ClientID(%d) = %q, want %q", i, got, want)
+		}
+	}
+	// The result string is the only allocation, also past the small
+	// integers fmt could box without allocating.
+	if n := testing.AllocsPerRun(100, func() { _ = p.ClientID(123456) }); n > 1 {
+		t.Fatalf("ClientID allocates %v times per call, want 1", n)
 	}
 }
 
@@ -220,5 +243,169 @@ func TestCurveCrossingStable(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// perturbReference is the perturbation's definition, the loop perturb ran
+// before its table-driven fast path: perturb must match it bit for bit.
+func perturbReference(data []float32, c *Client, round int) {
+	mag := 0.5 / math.Sqrt(float64(round)+1)
+	phase := c.LabelSkew * 2 * math.Pi
+	for i := range data {
+		g := math.Sin(float64(i)*0.01+phase) * mag
+		data[i] += float32(g)
+	}
+}
+
+// checkPerturbExact runs perturb and the reference on copies of base and
+// reports the first element whose bits differ.
+func checkPerturbExact(t *testing.T, p *Population, base []float32, skew float64, round int) {
+	t.Helper()
+	c := &Client{LabelSkew: skew}
+	got := &tensor.Tensor{Data: append([]float32(nil), base...)}
+	want := append([]float32(nil), base...)
+	p.perturb(got, c, round)
+	perturbReference(want, c, round)
+	for i := range want {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s len %d skew %v round %d: element %d = %v (%#x), reference %v (%#x)",
+				p.Model.Name, len(base), skew, round, i, got.Data[i], math.Float32bits(got.Data[i]),
+				want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
+// perturbBase is a starting vector with mixed signs, exact zeros and
+// negative zeros, so the additions are exercised beyond a zero global.
+func perturbBase(n int, rng *rand.Rand) []float32 {
+	base := make([]float32, n)
+	for i := range base {
+		switch i % 5 {
+		case 0:
+			base[i] = float32(math.Copysign(0, -1))
+		case 1:
+			base[i] = 0
+		default:
+			base[i] = float32(rng.NormFloat64())
+		}
+	}
+	return base
+}
+
+// TestPerturbMatchesReference pins the fast path to the Sin definition bit
+// for bit over every model the registry uses, a full-fidelity (PhysScale 1)
+// vector, thousands of client phases and rounds 0–400 — so goldens, .traj
+// files and benchmark fingerprints stay unchanged.
+func TestPerturbMatchesReference(t *testing.T) {
+	phases := 2048
+	if testing.Short() {
+		phases = 256
+	}
+	full := model.Spec{Name: "full-fidelity", Params: 1 << 20, PhysScale: 1}
+	specs := append(append([]model.Spec(nil), model.All...), model.TinyFL, full)
+	for _, m := range specs {
+		t.Run(m.Name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(m.PhysLen())))
+			p := NewPopulation(sim.NewEngine(), Config{NumClients: 1, Model: m, Class: Mobile, Seed: 3})
+			base := perturbBase(m.PhysLen(), rng)
+			n := phases
+			if m.PhysLen() > 100_000 {
+				n = phases / 64 // ~1M elements per phase
+			}
+			// Phase 0 and the phase just below 2π, at the rounds' ends.
+			for _, round := range []int{0, 1, 400} {
+				checkPerturbExact(t, p, base, 0, round)
+				checkPerturbExact(t, p, base, math.Nextafter(1, 0), round)
+			}
+			for k := 0; k < n; k++ {
+				checkPerturbExact(t, p, base, rng.Float64(), rng.Intn(401))
+			}
+		})
+	}
+}
+
+// TestPerturbFallbackLength covers the exact fallback for tensors whose
+// length is not the model's PhysLen, and pins that the definition there is
+// the reference loop's.
+func TestPerturbFallbackLength(t *testing.T) {
+	p := pop(Mobile, 1)
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 1, model.ResNet18.PhysLen() - 1, model.ResNet18.PhysLen() + 7} {
+		base := perturbBase(n, rng)
+		for k := 0; k < 64; k++ {
+			checkPerturbExact(t, p, base, rng.Float64(), rng.Intn(401))
+		}
+		// The fallback evaluates perturbTerm, which must be the reference's
+		// expression element by element.
+		skew, round := rng.Float64(), rng.Intn(401)
+		want := make([]float32, n)
+		perturbReference(want, &Client{LabelSkew: skew}, round)
+		mag := 0.5 / math.Sqrt(float64(round)+1)
+		for i := range want {
+			if got := perturbTerm(i, skew*2*math.Pi, mag); math.Float32bits(got) != math.Float32bits(want[i]) {
+				t.Fatalf("len %d: perturbTerm(%d) = %v, reference %v", n, i, got, want[i])
+			}
+		}
+	}
+}
+
+// TestPerturbConcurrentFirstUse pins the lazy tables under the staged
+// round loop's use: several goroutines materialize updates from one fresh
+// population at once, and each result still matches the reference.
+func TestPerturbConcurrentFirstUse(t *testing.T) {
+	p := pop(Mobile, 8)
+	g := model.ResNet18.NewTensor()
+	var wg sync.WaitGroup
+	got := make([]*tensor.Tensor, p.Len())
+	for k := range got {
+		got[k] = model.ResNet18.NewTensor()
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			p.LocalUpdateInto(got[k], p.Client(k), g, 3)
+		}(k)
+	}
+	wg.Wait()
+	for k, u := range got {
+		want := make([]float32, len(g.Data))
+		perturbReference(want, p.Client(k), 3)
+		for i := range want {
+			if math.Float32bits(u.Data[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("client %d element %d = %v, reference %v", k, i, u.Data[i], want[i])
+			}
+		}
+	}
+}
+
+// FuzzPerturbExact checks the fast path against the reference for arbitrary
+// client phases, rounds and model lengths.
+func FuzzPerturbExact(f *testing.F) {
+	f.Add(0.0, uint16(1), uint16(2816))                   // phase 0
+	f.Add(math.Nextafter(1, 0), uint16(79), uint16(2816)) // phase just below 2π
+	f.Add(0.37, uint16(0), uint16(64))                    // round 0
+	f.Add(0.5, uint16(3), uint16(1))                      // length 1
+	f.Fuzz(func(t *testing.T, labelSkew float64, round uint16, length uint16) {
+		m := model.Spec{Name: "fuzz", Params: int(length), PhysScale: 1}
+		p := NewPopulation(sim.NewEngine(), Config{NumClients: 1, Model: m, Class: Mobile, Seed: 1})
+		base := perturbBase(int(length), rand.New(rand.NewSource(int64(round))))
+		checkPerturbExact(t, p, base, labelSkew, int(round))
+	})
+}
+
+// BenchmarkLocalUpdateInto times one client update per model size; the
+// ns/kelem metric is the per-layer figure flbench reports as
+// flwork.update_ns_per_kelem.
+func BenchmarkLocalUpdateInto(b *testing.B) {
+	for _, m := range []model.Spec{model.TinyFL, model.ResNet18, model.ResNet152} {
+		b.Run(m.Name, func(b *testing.B) {
+			p := NewPopulation(sim.NewEngine(), Config{NumClients: 64, Model: m, Class: Mobile, Seed: 1})
+			global, dst := m.NewTensor(), m.NewTensor()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.LocalUpdateInto(dst, p.Client(i%p.Len()), global, 1+i%100)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(float64(dst.Len())/1e3), "ns/kelem")
+		})
 	}
 }
