@@ -125,7 +125,12 @@ type Aggregator struct {
 	// receive path a bottleneck in Fig. 4's NH baseline.
 	Proc *sim.Station
 
-	algo  fedavg.Algorithm
+	algo fedavg.Algorithm
+	// pool supplies the fedavg state's buffers and takes back the
+	// aggregates this instance consumes (see the package notes on buffer
+	// ownership). state is nil outside an assignment: acquired by Assign,
+	// released by send.
+	pool  *tensor.Pool
 	state fedavg.State
 	// queue is the Recv FIFO, managed as a ring: qhead indexes the next
 	// entry, and the backing array is recycled once drained, so steady-state
@@ -153,16 +158,16 @@ type Aggregator struct {
 	Discarded uint64
 }
 
-// New creates an aggregator with the given algorithm. phys/virtual size the
-// accumulator to the model being trained.
-func New(id string, role Role, node *cluster.Node, algo fedavg.Algorithm, phys, virtual int) *Aggregator {
+// New creates an aggregator with the given algorithm. pool is the owning
+// system's buffer pool, sized to the model being trained.
+func New(id string, role Role, node *cluster.Node, algo fedavg.Algorithm, pool *tensor.Pool) *Aggregator {
 	a := &Aggregator{
 		ID:        id,
 		Role:      role,
 		Node:      node,
 		Proc:      sim.NewStation(node.Eng, id+"/proc", 1),
 		algo:      algo,
-		state:     algo.NewState(phys, virtual),
+		pool:      pool,
 		TraceName: id,
 	}
 	return a
@@ -188,8 +193,9 @@ func (a *Aggregator) Done() int { return a.done }
 func (a *Aggregator) Idle() bool { return a.sent && !a.busy && a.Pending() == 0 }
 
 // Assign (re)targets the aggregator for a round: its role, goal, consumer,
-// and round number. State is reset; the homogenized runtime needs nothing
-// else (§5.3 "No further change is required as LIFL's aggregator runtime is
+// and round number. It acquires a fresh fedavg state from the pool (or
+// resets the one still held); the homogenized runtime needs nothing else
+// (§5.3 "No further change is required as LIFL's aggregator runtime is
 // stateless").
 func (a *Aggregator) Assign(role Role, goal int, dstID string, round int) {
 	if goal <= 0 {
@@ -199,7 +205,11 @@ func (a *Aggregator) Assign(role Role, goal int, dstID string, round int) {
 	a.Goal = goal
 	a.DstID = dstID
 	a.Round = round
-	a.state.Reset()
+	if a.state == nil {
+		a.state = a.algo.NewState(a.pool)
+	} else {
+		a.state.Reset()
+	}
 	a.done = 0
 	a.sent = false
 	if a.Sandbox != nil {
@@ -258,9 +268,10 @@ func (a *Aggregator) pump() {
 	if a.Reweigh != nil {
 		if w = a.Reweigh(u); w <= 0 {
 			// Discarded at the queue head before any Agg-step work: release
-			// the payload and keep draining. The comparison is a version-tag
-			// check, so no CPU demand is charged.
+			// the payload, recycle its buffer and keep draining. The
+			// comparison is a version-tag check, so no CPU demand is charged.
 			u.release()
+			a.pool.Put(u.Tensor)
 			a.Discarded++
 			a.pump()
 			return
@@ -305,7 +316,8 @@ func (a *Aggregator) NotifyReady() { a.pump() }
 // FailoverUpdates extracts every update the (failed) aggregator was
 // responsible for — queued and already-folded alike, shm references intact —
 // so the control plane can replay them into a stateless replacement. The
-// aggregator is left inert.
+// aggregator is left inert; its fedavg state, if it still holds one, is
+// dropped for the GC (a failed instance returns nothing to the pool).
 func (a *Aggregator) FailoverUpdates() []Update {
 	out := a.consumed
 	if a.hasInflight {
@@ -319,7 +331,7 @@ func (a *Aggregator) FailoverUpdates() []Update {
 	a.consumed = nil
 	a.queue = nil
 	a.qhead = 0
-	a.state.Reset()
+	a.state = nil
 	a.done = 0
 	a.busy = false
 	a.dead = true
@@ -333,13 +345,17 @@ func (a *Aggregator) send() {
 	if err != nil {
 		panic(fmt.Sprintf("aggcore %s: %v", a.ID, err))
 	}
+	a.state.Release()
+	a.state = nil
 	a.sent = true
 	a.RoundsCompleted++
-	// The aggregate is out; the source updates may now be recycled, and the
-	// consumed backing array reused next round (slots zeroed so the round's
-	// tensors do not linger).
+	// The aggregate is out; the source updates may now be recycled — shm
+	// references released, pooled buffers returned (this instance was
+	// their only consumer) — and the consumed backing array reused next
+	// round (slots zeroed so the round's tensors do not linger).
 	for i := range a.consumed {
 		a.consumed[i].release()
+		a.pool.Put(a.consumed[i].Tensor)
 		a.consumed[i] = Update{}
 	}
 	a.consumed = a.consumed[:0]

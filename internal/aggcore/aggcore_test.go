@@ -1,6 +1,7 @@
 package aggcore
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -38,7 +39,7 @@ func mkUpdate(v float32, w float64) Update {
 
 func TestEagerAggregatesToGoalAndSends(t *testing.T) {
 	eng, n := rig()
-	a := New("leaf", RoleLeaf, n, fedavg.FedAvg{}, 2, 2)
+	a := New("leaf", RoleLeaf, n, fedavg.FedAvg{}, tensor.NewPool(2, 2))
 	ct := &captureTransport{eng: eng}
 	a.Transport = ct
 	a.Mode = Eager
@@ -73,7 +74,7 @@ func TestEagerAggregatesToGoalAndSends(t *testing.T) {
 func TestEagerFinishesBeforeLazyOnSpreadArrivals(t *testing.T) {
 	run := func(mode Mode) (sim.Duration, *tensor.Tensor) {
 		eng, n := rig()
-		a := New("leaf", RoleLeaf, n, fedavg.FedAvg{}, 2, 2)
+		a := New("leaf", RoleLeaf, n, fedavg.FedAvg{}, tensor.NewPool(2, 2))
 		ct := &captureTransport{eng: eng}
 		a.Transport = ct
 		a.Mode = mode
@@ -115,7 +116,7 @@ func TestEagerFinishesBeforeLazyOnSpreadArrivals(t *testing.T) {
 
 func TestLazyDoesNotStartEarly(t *testing.T) {
 	eng, n := rig()
-	a := New("leaf", RoleLeaf, n, fedavg.FedAvg{}, 2, 2)
+	a := New("leaf", RoleLeaf, n, fedavg.FedAvg{}, tensor.NewPool(2, 2))
 	a.Transport = &captureTransport{eng: eng}
 	a.Mode = Lazy
 	a.Assign(RoleLeaf, 2, "top", 1)
@@ -130,7 +131,7 @@ func TestLazyDoesNotStartEarly(t *testing.T) {
 
 func TestShmReferencesReleasedAfterAggregation(t *testing.T) {
 	eng, n := rig()
-	a := New("leaf", RoleLeaf, n, fedavg.FedAvg{}, 2, 2)
+	a := New("leaf", RoleLeaf, n, fedavg.FedAvg{}, tensor.NewPool(2, 2))
 	a.Transport = &captureTransport{eng: eng}
 	a.Mode = Eager
 	a.Assign(RoleLeaf, 2, "top", 1)
@@ -152,7 +153,7 @@ func TestShmReferencesReleasedAfterAggregation(t *testing.T) {
 
 func TestRoleConversion(t *testing.T) {
 	eng, n := rig()
-	a := New("x", RoleLeaf, n, fedavg.FedAvg{}, 2, 2)
+	a := New("x", RoleLeaf, n, fedavg.FedAvg{}, tensor.NewPool(2, 2))
 	ct := &captureTransport{eng: eng}
 	a.Transport = ct
 	a.Mode = Eager
@@ -192,7 +193,7 @@ func TestRoleConversion(t *testing.T) {
 
 func TestOnCompleteBypassesTransport(t *testing.T) {
 	eng, n := rig()
-	a := New("top", RoleTop, n, fedavg.FedAvg{}, 2, 2)
+	a := New("top", RoleTop, n, fedavg.FedAvg{}, tensor.NewPool(2, 2))
 	var got *Update
 	a.OnComplete = func(_ *Aggregator, out Update) { got = &out }
 	a.Mode = Eager
@@ -208,7 +209,7 @@ func TestOnCompleteBypassesTransport(t *testing.T) {
 
 func TestAssignNonPositiveGoalPanics(t *testing.T) {
 	_, n := rig()
-	a := New("x", RoleLeaf, n, fedavg.FedAvg{}, 2, 2)
+	a := New("x", RoleLeaf, n, fedavg.FedAvg{}, tensor.NewPool(2, 2))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -232,7 +233,7 @@ func TestAggregationCorrectnessProperty(t *testing.T) {
 			return true // skip degenerate shapes
 		}
 		eng, node := rig()
-		a := New("leaf", RoleLeaf, node, fedavg.FedAvg{}, 1, 1)
+		a := New("leaf", RoleLeaf, node, fedavg.FedAvg{}, tensor.NewPool(1, 1))
 		ct := &captureTransport{eng: eng}
 		a.Transport = ct
 		a.Mode = Eager
@@ -266,7 +267,7 @@ func TestAggregationCorrectnessProperty(t *testing.T) {
 // original weights for failover replay.
 func TestReweighAppliesAtFoldTime(t *testing.T) {
 	eng, n := rig()
-	a := New("buf", RoleTop, n, fedavg.FedAvg{}, 2, 2)
+	a := New("buf", RoleTop, n, fedavg.FedAvg{}, tensor.NewPool(2, 2))
 	ct := &captureTransport{eng: eng}
 	a.Transport = ct
 	a.Mode = Eager
@@ -294,7 +295,7 @@ func TestReweighAppliesAtFoldTime(t *testing.T) {
 // the buffer only fills with live contributions.
 func TestReweighDiscardsWithoutAdvancingGoal(t *testing.T) {
 	eng, n := rig()
-	a := New("buf", RoleTop, n, fedavg.FedAvg{}, 2, 2)
+	a := New("buf", RoleTop, n, fedavg.FedAvg{}, tensor.NewPool(2, 2))
 	ct := &captureTransport{eng: eng}
 	a.Transport = ct
 	a.Mode = Eager
@@ -335,7 +336,7 @@ func TestReweighDiscardsWithoutAdvancingGoal(t *testing.T) {
 // still releases at Send — either way the store drains to empty.
 func TestReweighDiscardReleasesShmReference(t *testing.T) {
 	eng, n := rig()
-	a := New("buf", RoleTop, n, fedavg.FedAvg{}, 2, 2)
+	a := New("buf", RoleTop, n, fedavg.FedAvg{}, tensor.NewPool(2, 2))
 	ct := &captureTransport{eng: eng}
 	a.Transport = ct
 	a.Mode = Eager
@@ -373,5 +374,54 @@ func TestReweighDiscardReleasesShmReference(t *testing.T) {
 	}
 	if n.Shm.Len() != 0 {
 		t.Fatalf("shm holds %d objects after send; discarded reference leaked", n.Shm.Len())
+	}
+}
+
+// A warm Assign→fold→send cycle recycles every tensor-sized buffer through
+// the pool: the fedavg state's running sums (acquired in Assign, returned
+// in send), the consumed pooled updates (returned in send) and the
+// aggregate (returned by its consumer). Only small control records remain.
+func TestWarmCycleAllocatesNoTensorMemory(t *testing.T) {
+	const phys = 1 << 14
+	eng, n := rig()
+	pool := tensor.NewPool(phys, phys)
+	a := New("leaf", RoleLeaf, n, fedavg.FedAvg{}, pool)
+	a.Mode = Eager
+	sends := 0
+	a.OnComplete = func(_ *Aggregator, out Update) {
+		sends++
+		pool.Put(out.Tensor)
+	}
+	cycle := func() {
+		a.Assign(RoleLeaf, 2, "", 1)
+		for k := 0; k < 2; k++ {
+			u := pool.Get()
+			u.Fill(float32(k + 1))
+			a.Receive(Update{Tensor: u, Weight: 1, Size: u.VirtualBytes(), Round: 1})
+		}
+		if err := eng.RunUntilIdle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	const cycles = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if sends != 3+cycles {
+		t.Fatalf("sends = %d, want %d", sends, 3+cycles)
+	}
+	perCycle := (after.TotalAlloc - before.TotalAlloc) / cycles
+	if tensorBytes := uint64(phys * 4); perCycle >= tensorBytes/4 {
+		t.Fatalf("a warm cycle allocates %d bytes, want well under one %d-byte tensor", perCycle, tensorBytes)
+	}
+	// After send the aggregator holds no state; failover must not touch it.
+	if got := a.FailoverUpdates(); len(got) != 0 {
+		t.Fatalf("failover after send returned %d updates", len(got))
 	}
 }

@@ -15,6 +15,17 @@
 // updates a round retires unconsumed, so shm slabs never leak across
 // rounds.
 //
+// Buffer ownership (host memory only; the shm accounting is separate).
+// An aggregator draws its host buffers from the owning system's
+// tensor.Pool. Assign acquires the fedavg state; send computes the
+// aggregate into a pooled tensor, returns the state, releases the consumed
+// updates' shm references and returns their pooled tensors, because each
+// aggregate has exactly one consumer. The consumer of the final aggregate
+// (the OnComplete callback) returns it once it has installed the model. A
+// discarded update's tensor goes back at the discard. A failed instance
+// returns nothing: FailoverUpdates hands its updates on for replay and
+// leaves its state to the GC.
+//
 // Layer (DESIGN.md): component model under internal/systems — the
 // Recv/Agg/Send aggregator pipeline every system assembles its hierarchy
 // (or async buffer) from.

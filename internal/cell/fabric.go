@@ -170,6 +170,7 @@ type fabric struct {
 	feng  *sim.Engine
 	node  *cluster.Node
 	top   *aggcore.Aggregator
+	pool  *tensor.Pool // the cross-cell tier's own buffers, never a cell's
 	beats *coordinator.Heartbeats
 
 	global *tensor.Tensor
@@ -317,7 +318,8 @@ func newFabric(cfg core.RunConfig) (*fabric, error) {
 		f.node = cl.Nodes[0]
 		tmpl := f.cells[0].plat.Sys.Global()
 		f.global = tmpl.Clone()
-		f.top = aggcore.New("xcell-top", aggcore.RoleTop, f.node, fedavg.FedAvg{Workers: cfg.Workers}, tmpl.Len(), tmpl.VirtualLen)
+		f.pool = tensor.NewPool(tmpl.Len(), tmpl.VirtualLen)
+		f.top = aggcore.New("xcell-top", aggcore.RoleTop, f.node, fedavg.FedAvg{Workers: cfg.Workers}, f.pool)
 		f.top.Mode = aggcore.Eager
 		f.top.OnComplete = func(_ *aggcore.Aggregator, out aggcore.Update) { f.onFold(out) }
 		f.beats = coordinator.NewHeartbeats(f.feng, cfg.Params.HeartbeatTimeout)
@@ -696,6 +698,7 @@ func (f *fabric) onFold(out aggcore.Update) {
 		f.evErr = fmt.Errorf("cell: global install: %w", err)
 		return
 	}
+	f.pool.Put(out.Tensor) // Apply kept no reference; the top was its only consumer
 	if next != f.global {
 		// The one fused per-round install: t = 0·t + 1·next in a single
 		// sweep, keeping the fabric's global backing array stable. The

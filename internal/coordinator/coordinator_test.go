@@ -95,7 +95,7 @@ func TestReusePickerPrefersIdleCompleted(t *testing.T) {
 	eng := sim.NewEngine()
 	c := cluster.New(eng, sim.NewRNG(1), costmodel.Default(), 1)
 	mk := func(goal int) *aggcore.Aggregator {
-		a := aggcore.New("a", aggcore.RoleLeaf, c.Nodes[0], fedavg.FedAvg{}, 1, 1)
+		a := aggcore.New("a", aggcore.RoleLeaf, c.Nodes[0], fedavg.FedAvg{}, tensor.NewPool(1, 1))
 		a.OnComplete = func(*aggcore.Aggregator, aggcore.Update) {}
 		a.Mode = aggcore.Eager
 		a.Assign(aggcore.RoleLeaf, goal, "", 1)

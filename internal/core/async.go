@@ -75,8 +75,8 @@ func (p *Platform) runAsync() (*Report, error) {
 			Delay:       p.Pop.TrainTime(c),
 			Weight:      float64(c.Samples),
 			BaseVersion: base,
-			MakeUpdate: func() *tensor.Tensor {
-				return p.Pop.LocalUpdate(c, global, effRound)
+			MakeUpdate: func(dst *tensor.Tensor) {
+				p.Pop.LocalUpdateInto(dst, c, global, effRound)
 			},
 			Done: func() {
 				if !cfg.StreamOnly {

@@ -102,6 +102,7 @@ func probeServiceTime(m model.Spec, rate float64) (e sim.Duration) {
 	gw := gateway.New(n)
 	gateway.Connect(gw)
 	alg := fedAvg()
+	pool := modelPool(m)
 
 	// A saturated node's hierarchy: 10 leaves that keep re-arming, so the
 	// probe measures steady-state service, not a single round.
@@ -109,7 +110,7 @@ func probeServiceTime(m model.Spec, rate float64) (e sim.Duration) {
 	var total sim.Duration
 	var count int
 	for i := range leaves {
-		a := aggcore.New(fmt.Sprintf("probe-leaf%d", i), aggcore.RoleLeaf, n, alg, m.PhysLen(), m.Params)
+		a := aggcore.New(fmt.Sprintf("probe-leaf%d", i), aggcore.RoleLeaf, n, alg, pool)
 		a.Mode = aggcore.Eager
 		a.OnComplete = nil
 		a.Transport = rearmTransport{}

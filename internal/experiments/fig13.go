@@ -43,7 +43,7 @@ func fig13Run(setup string, m model.Spec) Fig13Row {
 	p := costmodel.Default()
 	cl := cluster.New(eng, sim.NewRNG(13), p, 1)
 	n := cl.Nodes[0]
-	agg := aggcore.New("agg", aggcore.RoleLeaf, n, fedAvg(), m.PhysLen(), m.Params)
+	agg := aggcore.New("agg", aggcore.RoleLeaf, n, fedAvg(), modelPool(m))
 	size := m.Bytes()
 	nT := len(m.Layers)
 	var doneAt sim.Duration

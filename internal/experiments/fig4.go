@@ -54,11 +54,12 @@ func fig4Round(leaves int, tr *trace.Recorder) sim.Duration {
 	cl := cluster.New(eng, rng, p, 1)
 	n := cl.Nodes[0]
 	alg := fedAvg()
+	pool := modelPool(m)
 	nT := len(m.Layers)
 	size := m.Bytes()
 
 	var roundEnd sim.Duration
-	top := aggcore.New("Top", aggcore.RoleTop, n, alg, m.PhysLen(), m.Params)
+	top := aggcore.New("Top", aggcore.RoleTop, n, alg, pool)
 	top.Mode = aggcore.Lazy
 	top.Tracer = tr
 	top.TraceName = "Top"
@@ -76,7 +77,7 @@ func fig4Round(leaves int, tr *trace.Recorder) sim.Duration {
 	} else {
 		top.Assign(aggcore.RoleTop, leaves, "", 0)
 		for i := 0; i < leaves; i++ {
-			lf := aggcore.New(fmt.Sprintf("LF%d", i+1), aggcore.RoleLeaf, n, alg, m.PhysLen(), m.Params)
+			lf := aggcore.New(fmt.Sprintf("LF%d", i+1), aggcore.RoleLeaf, n, alg, pool)
 			lf.Mode = aggcore.Lazy
 			lf.Tracer = tr
 			lf.Assign(aggcore.RoleLeaf, 8/leaves, "Top", 0)

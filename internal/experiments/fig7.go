@@ -49,9 +49,9 @@ func pair(m model.Spec) (*sim.Engine, *cluster.Node, *aggcore.Aggregator, *aggco
 	p := costmodel.Default()
 	cl := cluster.New(eng, sim.NewRNG(1), p, 1)
 	n := cl.Nodes[0]
-	alg := fedAvg()
-	src := aggcore.New("leaf", aggcore.RoleLeaf, n, alg, m.PhysLen(), m.Params)
-	dst := aggcore.New("top", aggcore.RoleTop, n, alg, m.PhysLen(), m.Params)
+	alg, pool := fedAvg(), modelPool(m)
+	src := aggcore.New("leaf", aggcore.RoleLeaf, n, alg, pool)
+	dst := aggcore.New("top", aggcore.RoleTop, n, alg, pool)
 	return eng, n, src, dst
 }
 

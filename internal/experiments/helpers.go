@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"repro/internal/fedavg"
+	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/systems"
 	"repro/internal/tensor"
@@ -9,6 +10,9 @@ import (
 
 // fedAvg returns the aggregation algorithm used by every experiment.
 func fedAvg() fedavg.Algorithm { return fedavg.FedAvg{} }
+
+// modelPool returns a buffer pool sized to m, for experiment aggregators.
+func modelPool(m model.Spec) *tensor.Pool { return tensor.NewPool(m.PhysLen(), m.Params) }
 
 // tensorT shortens closure signatures in experiment job builders.
 type tensorT = tensor.Tensor

@@ -10,6 +10,12 @@
 // aggregating children's outputs weighted by their T values reproduces the
 // flat weighted mean exactly (property-tested in fedavg_test.go).
 //
+// States draw their host buffers from a tensor.Pool: NewState acquires the
+// running sums, Release returns them, and each Result tensor comes from
+// the same pool for its final consumer to return. ServerOpt.Apply must not
+// retain the aggregate it is given, because the caller recycles it as soon
+// as Apply returns. This ownership contract concerns host memory only.
+//
 // Layer (DESIGN.md): algorithm layer under internal/core — Eq. (1)
 // aggregation state plus the ServerOpt model-install extension point.
 package fedavg

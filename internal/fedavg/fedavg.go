@@ -11,27 +11,35 @@ import (
 // ErrEmpty is returned when a result is requested before any accumulation.
 var ErrEmpty = errors.New("fedavg: no updates accumulated")
 
-// Algorithm constructs fresh accumulator states.
+// Algorithm constructs accumulator states.
 type Algorithm interface {
 	Name() string
-	// NewState returns an empty accumulator for vectors with the given
-	// physical and virtual lengths.
-	NewState(phys, virtual int) State
+	// NewState returns an empty accumulator for vectors of the pool's
+	// geometry. The state draws its buffers from pool: its running sums
+	// on creation, each Result tensor on demand.
+	NewState(pool *tensor.Pool) State
 }
 
-// State is a cumulative aggregation accumulator.
+// State is a cumulative aggregation accumulator. Its buffers belong to the
+// pool it was created from (the buffer-ownership contract, DESIGN.md
+// "Tensor arithmetic"; host memory only).
 type State interface {
 	// Accumulate folds one (update, weight) pair in. Weight must be
 	// positive; for client updates it is the sample count c_k, for
 	// intermediate updates the child's total weight.
 	Accumulate(t *tensor.Tensor, weight float64) error
 	// Result returns the aggregate so far and its total weight. The
-	// returned tensor is owned by the caller (safe to publish immutably).
+	// returned tensor is a fresh buffer from the state's pool, owned by
+	// the caller (safe to publish immutably); its final consumer returns
+	// it to the pool with tensor.Pool.Put.
 	Result() (*tensor.Tensor, float64, error)
 	// Count returns how many updates have been folded in.
 	Count() int
 	// Reset clears the accumulator for reuse in the next round.
 	Reset()
+	// Release returns the state's running sums to its pool. The state
+	// must not be used afterwards; tensors Result returned stay valid.
+	Release()
 }
 
 // FedAvg is the weighted-averaging algorithm of the paper's evaluation.
@@ -47,28 +55,24 @@ type FedAvg struct {
 func (FedAvg) Name() string { return "fedavg" }
 
 // NewState implements Algorithm.
-func (f FedAvg) NewState(phys, virtual int) State {
-	acc := tensor.NewAccumulator(phys)
+func (f FedAvg) NewState(pool *tensor.Pool) State {
+	acc := pool.GetAccumulator()
 	acc.SetWorkers(f.Workers)
-	return &fedAvgState{
-		acc:     acc,
-		phys:    phys,
-		virtual: virtual,
-	}
+	return &fedAvgState{acc: acc, pool: pool}
 }
 
 // fedAvgState delegates the arithmetic to tensor.Accumulator — the shared
 // Clone-avoiding eager accumulate path (float64 running sums, divide once
-// at Result) — and adds the tensor geometry plus the fedavg error contract.
+// at Result) — and adds the pool that supplies its buffers plus the fedavg
+// error contract.
 type fedAvgState struct {
-	acc     *tensor.Accumulator
-	phys    int
-	virtual int
+	acc  *tensor.Accumulator
+	pool *tensor.Pool
 }
 
 func (s *fedAvgState) Accumulate(t *tensor.Tensor, weight float64) error {
-	if t.Len() != s.phys {
-		return fmt.Errorf("%w: update len %d, accumulator len %d", tensor.ErrShape, t.Len(), s.phys)
+	if t.Len() != s.acc.Len() {
+		return fmt.Errorf("%w: update len %d, accumulator len %d", tensor.ErrShape, t.Len(), s.acc.Len())
 	}
 	if weight <= 0 {
 		return fmt.Errorf("fedavg: non-positive weight %v", weight)
@@ -80,8 +84,9 @@ func (s *fedAvgState) Result() (*tensor.Tensor, float64, error) {
 	if s.acc.Count() == 0 {
 		return nil, 0, ErrEmpty
 	}
-	out := tensor.NewVirtual(s.phys, s.virtual)
+	out := s.pool.Get()
 	if err := s.acc.MeanInto(out); err != nil {
+		s.pool.Put(out)
 		return nil, 0, err
 	}
 	return out, s.acc.Total(), nil
@@ -91,6 +96,11 @@ func (s *fedAvgState) Count() int { return s.acc.Count() }
 
 func (s *fedAvgState) Reset() { s.acc.Reset() }
 
+func (s *fedAvgState) Release() {
+	s.pool.PutAccumulator(s.acc)
+	s.acc = nil
+}
+
 // ServerOpt post-processes the aggregated update into the next global model.
 // FedAvg simply adopts the aggregate; adaptive server optimizers (Reddi et
 // al., 2020) treat (global − aggregate) as a pseudo-gradient. These are the
@@ -98,7 +108,9 @@ func (s *fedAvgState) Reset() { s.acc.Reset() }
 type ServerOpt interface {
 	Name() string
 	// Apply returns the next global model given the previous one and the
-	// round's aggregate. Implementations must not mutate their inputs.
+	// round's aggregate. Implementations must not mutate their inputs and
+	// must not retain aggregate (nor return it): the caller recycles the
+	// aggregate's buffer as soon as Apply returns.
 	Apply(global, aggregate *tensor.Tensor) (*tensor.Tensor, error)
 }
 

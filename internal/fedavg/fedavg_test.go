@@ -11,7 +11,7 @@ import (
 
 func TestFedAvgMatchesReferenceWeightedMean(t *testing.T) {
 	alg := FedAvg{}
-	st := alg.NewState(3, 3)
+	st := alg.NewState(tensor.NewPool(3, 3))
 	xs := []*tensor.Tensor{
 		tensor.FromSlice([]float32{1, 2, 3}),
 		tensor.FromSlice([]float32{4, 5, 6}),
@@ -41,7 +41,7 @@ func TestFedAvgMatchesReferenceWeightedMean(t *testing.T) {
 }
 
 func TestFedAvgEmptyAndReset(t *testing.T) {
-	st := FedAvg{}.NewState(2, 2)
+	st := FedAvg{}.NewState(tensor.NewPool(2, 2))
 	if _, _, err := st.Result(); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("empty result: %v", err)
 	}
@@ -65,7 +65,7 @@ func TestFedAvgEmptyAndReset(t *testing.T) {
 }
 
 func TestFedAvgRejectsBadInput(t *testing.T) {
-	st := FedAvg{}.NewState(2, 2)
+	st := FedAvg{}.NewState(tensor.NewPool(2, 2))
 	if err := st.Accumulate(tensor.New(3), 1); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
@@ -94,7 +94,7 @@ func TestHierarchicalEquivalence(t *testing.T) {
 			ws[k] = float64(wsRaw[k]%9) + 1
 		}
 		// Flat aggregation.
-		flat := alg.NewState(4, 4)
+		flat := alg.NewState(tensor.NewPool(4, 4))
 		for k := range xs {
 			if err := flat.Accumulate(xs[k], ws[k]); err != nil {
 				return false
@@ -107,7 +107,7 @@ func TestHierarchicalEquivalence(t *testing.T) {
 		// Two leaves split at s, then a parent aggregates the intermediates
 		// weighted by their totals.
 		s := int(split%5) + 1 // 1..5
-		leafA, leafB := alg.NewState(4, 4), alg.NewState(4, 4)
+		leafA, leafB := alg.NewState(tensor.NewPool(4, 4)), alg.NewState(tensor.NewPool(4, 4))
 		for k := range xs {
 			st := leafA
 			if k >= s {
@@ -117,7 +117,7 @@ func TestHierarchicalEquivalence(t *testing.T) {
 				return false
 			}
 		}
-		parent := alg.NewState(4, 4)
+		parent := alg.NewState(tensor.NewPool(4, 4))
 		for _, leaf := range []State{leafA, leafB} {
 			if leaf.Count() == 0 {
 				continue
@@ -160,7 +160,7 @@ func TestAccumulationOrderInvariance(t *testing.T) {
 			order[i], order[j] = order[j], order[i]
 		}
 		build := func(idx []int) *tensor.Tensor {
-			st := alg.NewState(3, 3)
+			st := alg.NewState(tensor.NewPool(3, 3))
 			for _, k := range idx {
 				d := make([]float32, 3)
 				for i := range d {

@@ -1,11 +1,8 @@
 // Package metrics implements the metrics server of LIFL's control plane
-// (Fig. 3): time-series storage fed by the per-node agents (which drain the
-// eBPF metrics maps, §4.3), sliding-window arrival-rate meters used by the
-// load balancer's k_{i,t}, and execution-time averages used for E_{i,t}.
-//
-// Series are append-only during a run; Server.TrimAll bounds them to a
-// constant tail when rounds retire, so diagnostic storage never grows
-// with run length (docs/MEMORY.md).
+// (Fig. 3): sliding-window arrival-rate meters fed by the per-node agents
+// (which drain the eBPF metrics maps, §4.3) and read by the load
+// balancer's k_{i,t}. A meter trims events older than its window on every
+// access, so its storage never grows with run length (docs/MEMORY.md).
 //
 // Layer (DESIGN.md): component support under internal/core — arrival
 // meters feeding the placement/planner inputs.

@@ -1,112 +1,16 @@
 package metrics
 
-import (
-	"sort"
+import "repro/internal/sim"
 
-	"repro/internal/sim"
-)
-
-// Point is one sample.
-type Point struct {
-	T sim.Duration
-	V float64
-}
-
-// Series is an append-only ordered sample list.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Add appends a sample; time must be non-decreasing (virtual time is).
-func (s *Series) Add(t sim.Duration, v float64) {
-	s.Points = append(s.Points, Point{T: t, V: v})
-}
-
-// Last returns the latest sample, or zero.
-func (s *Series) Last() Point {
-	if len(s.Points) == 0 {
-		return Point{}
-	}
-	return s.Points[len(s.Points)-1]
-}
-
-// TrimTo drops the oldest points beyond max, keeping the newest max
-// samples, and releases the larger backing array. Long-horizon runs bound
-// their diagnostic series this way; a reader that needs full history must
-// consume points before the owner's trim cadence passes them by.
-func (s *Series) TrimTo(max int) {
-	if max < 0 || len(s.Points) <= max {
-		return
-	}
-	s.Points = append(make([]Point, 0, max), s.Points[len(s.Points)-max:]...)
-}
-
-// Bucketize sums samples into fixed-width buckets over [0, horizon] — used
-// to produce the "arrival rate per minute" series of Fig. 10(a,d).
-func (s *Series) Bucketize(width, horizon sim.Duration) []float64 {
-	if width <= 0 {
-		panic("metrics: bucket width must be positive")
-	}
-	n := int(horizon/width) + 1
-	out := make([]float64, n)
-	for _, p := range s.Points {
-		i := int(p.T / width)
-		if i >= 0 && i < n {
-			out[i] += p.V
-		}
-	}
-	return out
-}
-
-// Server stores named series and rolling statistics.
+// Server stores named arrival-rate meters.
 type Server struct {
 	eng    *sim.Engine
-	series map[string]*Series
 	meters map[string]*Meter
-	avgs   map[string]*RollingAvg
 }
 
 // NewServer creates an empty metrics server.
 func NewServer(eng *sim.Engine) *Server {
-	return &Server{
-		eng:    eng,
-		series: make(map[string]*Series),
-		meters: make(map[string]*Meter),
-		avgs:   make(map[string]*RollingAvg),
-	}
-}
-
-// Series returns (creating) the named series.
-func (s *Server) Series(name string) *Series {
-	ser, ok := s.series[name]
-	if !ok {
-		ser = &Series{Name: name}
-		s.series[name] = ser
-	}
-	return ser
-}
-
-// Record appends to the named series at the current virtual time.
-func (s *Server) Record(name string, v float64) { s.Series(name).Add(s.eng.Now(), v) }
-
-// TrimAll bounds every stored series to its newest max points — the
-// metrics server's part of the per-round record lifecycle (meters and
-// rolling averages are already self-bounding).
-func (s *Server) TrimAll(max int) {
-	for _, ser := range s.series {
-		ser.TrimTo(max)
-	}
-}
-
-// Names lists stored series, sorted.
-func (s *Server) Names() []string {
-	out := make([]string, 0, len(s.series))
-	for n := range s.series {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return &Server{eng: eng, meters: make(map[string]*Meter)}
 }
 
 // Meter returns (creating) a sliding-window event-rate meter.
@@ -117,16 +21,6 @@ func (s *Server) Meter(name string, window sim.Duration) *Meter {
 		s.meters[name] = m
 	}
 	return m
-}
-
-// Avg returns (creating) a rolling average with the given sample capacity.
-func (s *Server) Avg(name string, capacity int) *RollingAvg {
-	a, ok := s.avgs[name]
-	if !ok {
-		a = NewRollingAvg(capacity)
-		s.avgs[name] = a
-	}
-	return a
 }
 
 // Meter measures event arrival rate over a sliding window — k_{i,t} in the
@@ -174,53 +68,4 @@ func (m *Meter) Rate() float64 {
 func (m *Meter) Count() int {
 	m.trim()
 	return len(m.events)
-}
-
-// RollingAvg keeps the mean of the last N durations — E_{i,t} in §5.1.
-type RollingAvg struct {
-	buf  []sim.Duration
-	next int
-	full bool
-}
-
-// NewRollingAvg builds an average over up to capacity samples.
-func NewRollingAvg(capacity int) *RollingAvg {
-	if capacity <= 0 {
-		panic("metrics: rolling average capacity must be positive")
-	}
-	return &RollingAvg{buf: make([]sim.Duration, capacity)}
-}
-
-// Add inserts a sample.
-func (r *RollingAvg) Add(d sim.Duration) {
-	r.buf[r.next] = d
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// Mean returns the current average (0 when empty).
-func (r *RollingAvg) Mean() sim.Duration {
-	n := r.next
-	if r.full {
-		n = len(r.buf)
-	}
-	if n == 0 {
-		return 0
-	}
-	var sum sim.Duration
-	for i := 0; i < n; i++ {
-		sum += r.buf[i]
-	}
-	return sum / sim.Duration(n)
-}
-
-// Samples returns how many samples are held.
-func (r *RollingAvg) Samples() int {
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
 }

@@ -6,99 +6,6 @@ import (
 	"repro/internal/sim"
 )
 
-func TestSeriesBasics(t *testing.T) {
-	eng := sim.NewEngine()
-	s := NewServer(eng)
-	s.Record("acc", 0.5)
-	eng.After(sim.Minute, func() { s.Record("acc", 0.7) })
-	if err := eng.RunUntilIdle(); err != nil {
-		t.Fatal(err)
-	}
-	ser := s.Series("acc")
-	if len(ser.Points) != 2 {
-		t.Fatalf("points = %d", len(ser.Points))
-	}
-	if ser.Last().V != 0.7 || ser.Last().T != sim.Minute {
-		t.Fatalf("last = %+v", ser.Last())
-	}
-	if got := s.Names(); len(got) != 1 || got[0] != "acc" {
-		t.Fatalf("names = %v", got)
-	}
-}
-
-func TestSeriesBucketize(t *testing.T) {
-	eng := sim.NewEngine()
-	s := &Series{}
-	s.Add(10*sim.Second, 1)
-	s.Add(50*sim.Second, 1)
-	s.Add(70*sim.Second, 1)
-	s.Add(3*sim.Minute, 5)
-	got := s.Bucketize(sim.Minute, 3*sim.Minute)
-	want := []float64{2, 1, 0, 5}
-	if len(got) != len(want) {
-		t.Fatalf("buckets = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("buckets = %v, want %v", got, want)
-		}
-	}
-	_ = eng
-}
-
-// TestBucketizePastHorizon: samples beyond the horizon are dropped, not
-// folded into the last bucket — the series length is a pure function of
-// (width, horizon), never of the data.
-func TestBucketizePastHorizon(t *testing.T) {
-	s := &Series{}
-	s.Add(30*sim.Second, 1)
-	s.Add(5*sim.Minute, 7)  // past the horizon: dropped
-	s.Add(90*sim.Minute, 9) // far past: dropped, no index overflow
-	got := s.Bucketize(sim.Minute, 2*sim.Minute)
-	want := []float64{1, 0, 0}
-	if len(got) != len(want) {
-		t.Fatalf("buckets = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("buckets = %v, want %v", got, want)
-		}
-	}
-}
-
-// TestTrimToEdgeCases pins the retention contract: zero empties the
-// series, negative means "no bound", and an under-full series is left
-// alone (no reallocation churn on the hot trim cadence).
-func TestTrimToEdgeCases(t *testing.T) {
-	mk := func(n int) *Series {
-		s := &Series{}
-		for i := 0; i < n; i++ {
-			s.Add(sim.Duration(i)*sim.Second, float64(i))
-		}
-		return s
-	}
-	s := mk(4)
-	s.TrimTo(0)
-	if len(s.Points) != 0 {
-		t.Fatalf("TrimTo(0) kept %d points", len(s.Points))
-	}
-	s = mk(4)
-	s.TrimTo(-1)
-	if len(s.Points) != 4 {
-		t.Fatalf("TrimTo(-1) trimmed to %d points (negative = unbounded)", len(s.Points))
-	}
-	s = mk(4)
-	s.TrimTo(10)
-	if len(s.Points) != 4 {
-		t.Fatalf("under-full trim changed the series: %d points", len(s.Points))
-	}
-	s = mk(4)
-	s.TrimTo(2)
-	if len(s.Points) != 2 || s.Points[0].V != 2 || s.Points[1].V != 3 {
-		t.Fatalf("TrimTo(2) kept %+v, want newest two", s.Points)
-	}
-}
-
 func TestMeterSlidingWindow(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMeter(eng, sim.Minute)
@@ -126,48 +33,18 @@ func TestMeterSlidingWindow(t *testing.T) {
 	}
 }
 
-func TestRollingAvg(t *testing.T) {
-	r := NewRollingAvg(3)
-	if r.Mean() != 0 || r.Samples() != 0 {
-		t.Fatal("empty average")
-	}
-	r.Add(2 * sim.Second)
-	r.Add(4 * sim.Second)
-	if r.Mean() != 3*sim.Second || r.Samples() != 2 {
-		t.Fatalf("mean = %v over %d", r.Mean(), r.Samples())
-	}
-	r.Add(6 * sim.Second)
-	r.Add(8 * sim.Second) // evicts the 2s sample
-	if r.Mean() != 6*sim.Second || r.Samples() != 3 {
-		t.Fatalf("rolled mean = %v over %d", r.Mean(), r.Samples())
-	}
-}
-
-func TestServerMeterAndAvgCaching(t *testing.T) {
-	eng := sim.NewEngine()
-	s := NewServer(eng)
+func TestServerMeterCaching(t *testing.T) {
+	s := NewServer(sim.NewEngine())
 	if s.Meter("x", sim.Minute) != s.Meter("x", sim.Hour) {
 		t.Fatal("meter not cached by name")
-	}
-	if s.Avg("y", 5) != s.Avg("y", 10) {
-		t.Fatal("avg not cached by name")
 	}
 }
 
 func TestGuards(t *testing.T) {
-	eng := sim.NewEngine()
-	for _, f := range []func(){
-		func() { NewMeter(eng, 0) },
-		func() { NewRollingAvg(0) },
-		func() { (&Series{}).Bucketize(0, sim.Minute) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewMeter(sim.NewEngine(), 0)
 }

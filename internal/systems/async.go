@@ -85,9 +85,12 @@ type AsyncJob struct {
 	Weight float64
 	// BaseVersion is the global model version the client trained against.
 	BaseVersion int
-	// MakeUpdate produces the local update from the dispatch-time snapshot
-	// the dispatcher captured.
-	MakeUpdate func() *tensor.Tensor
+	// MakeUpdate writes the local update, computed from the dispatch-time
+	// snapshot the dispatcher captured, into dst: a buffer from the
+	// system's pool with the model's physical length, whose every element
+	// MakeUpdate must overwrite. The buffer returns to the pool when the
+	// buffer aggregator has folded (and sent) or discarded the update.
+	MakeUpdate func(dst *tensor.Tensor)
 	// Done fires when the upload has been committed at its edge node — the
 	// training slot is free again (concurrency-limited dispatch).
 	Done func()
@@ -153,6 +156,9 @@ type Async struct {
 	Mgr     *runtime.Manager
 
 	global *tensor.Tensor
+	// pool recycles upload buffers, the buffer's accumulator and each
+	// version's aggregate.
+	pool   *tensor.Pool
 	buffer *aggcore.Aggregator
 	sb     *runtime.Sandbox
 	decay  asyncfl.Decay
@@ -199,6 +205,7 @@ func NewAsync(eng *sim.Engine, cfg Config) *Async {
 		Eng:     eng,
 		Cluster: cl,
 		global:  newGlobal(cfg.Model),
+		pool:    tensor.NewPool(cfg.Model.PhysLen(), cfg.Model.Params),
 		decay:   asyncfl.Decay{HalfLife: prm.StalenessHalfLife, MaxStaleness: prm.MaxStaleness},
 		merger:  asyncfl.Merger{Mix: prm.MixRate},
 		Track:   asyncfl.NewTracker(),
@@ -221,8 +228,7 @@ func NewAsync(eng *sim.Engine, cfg Config) *Async {
 // critical path of the first K updates, exactly like a reactive leaf).
 func (s *Async) startBuffer() {
 	n := s.Cluster.Nodes[s.cfg.TopNode]
-	agg := aggcore.New(asyncBufferID, aggcore.RoleTop, n, fedavg.FedAvg{Workers: s.cfg.Workers},
-		s.cfg.Model.PhysLen(), s.cfg.Model.Params)
+	agg := aggcore.New(asyncBufferID, aggcore.RoleTop, n, fedavg.FedAvg{Workers: s.cfg.Workers}, s.pool)
 	agg.Mode = aggcore.Eager // the eager pipeline is what makes the buffer fold on arrival
 	agg.Tracer = s.cfg.Tracer
 	agg.TraceName = "Buf"
@@ -358,7 +364,8 @@ func (s *Async) Dispatch(job AsyncJob) {
 // direct when the update landed on the buffer node, via the Appendix A
 // inter-node relay otherwise. The training slot frees at the edge commit.
 func (s *Async) upload(job AsyncJob, ticket int) {
-	upd := job.MakeUpdate()
+	upd := s.pool.Get()
+	job.MakeUpdate(upd)
 	gw := s.GWs[job.Node]
 	gu := gateway.Update{
 		Tensor:   upd,
@@ -438,6 +445,7 @@ func (s *Async) onBuffer(top *aggcore.Aggregator, out aggcore.Update) {
 	if err != nil {
 		panic(fmt.Sprintf("async: merge: %v", err))
 	}
+	s.pool.Put(out.Tensor) // Merge copied it; the buffer was its only consumer
 	s.global = next
 	s.version++
 	s.cfg.Obs.Counter("ctrl/versions_installed", obs.Det).Inc()

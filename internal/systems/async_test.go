@@ -30,12 +30,8 @@ func dispatchConst(s *Async, node int, val float32, weight float64, delay sim.Du
 		Delay:       delay,
 		Weight:      weight,
 		BaseVersion: base,
-		MakeUpdate: func() *tensor.Tensor {
-			u := s.Global().Clone()
-			u.Fill(val)
-			return u
-		},
-		Done: done,
+		MakeUpdate:  func(dst *tensor.Tensor) { dst.Fill(val) },
+		Done:        done,
 	})
 }
 
@@ -113,11 +109,7 @@ func TestAsyncMaxStalenessDiscards(t *testing.T) {
 	// advance the model to version 3, its lag (3) exceeds MaxStaleness 1...
 	stale := AsyncJob{
 		ID: "stale", Node: 0, Delay: 40 * sim.Second, Weight: 1, BaseVersion: 0,
-		MakeUpdate: func() *tensor.Tensor {
-			u := s.Global().Clone()
-			u.Fill(999)
-			return u
-		},
+		MakeUpdate: func(dst *tensor.Tensor) { dst.Fill(999) },
 	}
 	s.Dispatch(stale)
 	for i := 0; i < 4; i++ {
@@ -190,11 +182,7 @@ func TestAsyncStalenessWeighting(t *testing.T) {
 	// Laggard trained against version 0, arriving after version 1 exists.
 	s.Dispatch(AsyncJob{
 		ID: "laggard", Node: 0, Delay: 30 * sim.Second, Weight: 1, BaseVersion: 0,
-		MakeUpdate: func() *tensor.Tensor {
-			u := s.Global().Clone()
-			u.Fill(8)
-			return u
-		},
+		MakeUpdate: func(dst *tensor.Tensor) { dst.Fill(8) },
 	})
 	// Two prompt updates make version 1 at lag 0.
 	dispatchConst(s, 0, 0, 1, sim.Second, nil)

@@ -48,7 +48,10 @@ type LIFL struct {
 
 	global *tensor.Tensor
 	algo   fedavg.Algorithm
-	reuse  coordinator.ReusePicker
+	// pool recycles the data plane's host buffers (accumulators and
+	// aggregates) round over round.
+	pool  *tensor.Pool
+	reuse coordinator.ReusePicker
 
 	// Ckpt is the external persistent store for Appendix-B model
 	// checkpoints, written asynchronously every CheckpointPeriodRounds.
@@ -114,6 +117,7 @@ func NewLIFL(eng *sim.Engine, cfg Config) *LIFL {
 		Metrics: metrics.NewServer(eng),
 		global:  newGlobal(cfg.Model),
 		algo:    fedavg.FedAvg{Workers: cfg.Workers},
+		pool:    tensor.NewPool(cfg.Model.PhysLen(), cfg.Model.Params),
 		Ckpt:    checkpoint.NewStore(eng, 1e9), // 1 GB/s uplink to storage
 		hist:    make(map[int]*liflRound),
 	}
@@ -245,6 +249,11 @@ func (s *LIFL) RunRound(round int, jobs []ClientJob, done func(RoundResult)) {
 func (s *LIFL) place(rs *liflRound) {
 	states := make([]*placement.NodeState, 0, len(s.Cluster.Nodes))
 	for _, n := range s.Cluster.Nodes {
+		// Known fidelity bug: only Meter("arrivals") is ever marked (in
+		// ingest), never the per-node "arrivals@<node>" read here, so
+		// §5.1's k_{i,t} is always 0. Marking the per-node meter changes
+		// placement and so every reference fingerprint; the fix waits for
+		// a deliberate reference refresh (ROADMAP open items).
 		states = append(states, &placement.NodeState{
 			Name:     n.Name,
 			MC:       s.cfg.MC,
@@ -391,20 +400,15 @@ func (s *LIFL) FailAggregator(name string) (int, error) {
 	return len(replay), nil
 }
 
-// metricsKeep bounds the diagnostic metrics series once rounds start
-// retiring: enough history for any rate/window consumer, constant over
-// arbitrarily many rounds.
-const metricsKeep = 4096
-
 // RetireRound implements Service: evict every control-plane record for
 // rounds <= last. For each retired round the logical aggregator names are
 // re-derived deterministically from the retained plan (sorted node walk),
 // their sockmap entries and gateway routes dropped on every node, leftover
 // pending shm references released, and the round state — bind map, TAG,
 // plans, aggregator closures — unreferenced. The eBPF metrics maps drop
-// the rounds' samples, the checkpoint store retires superseded snapshots,
-// and the metrics server's series are bounded. Pure bookkeeping: no
-// sandbox terminations, no CPU charges, no events.
+// the rounds' samples and the checkpoint store retires superseded
+// snapshots. Pure bookkeeping: no sandbox terminations, no CPU charges, no
+// events.
 func (s *LIFL) RetireRound(last int) {
 	var rounds []int
 	for r, rs := range s.hist {
@@ -425,7 +429,6 @@ func (s *LIFL) RetireRound(last int) {
 		samples += n.SKMSG.RetireRound(last)
 	}
 	s.Ckpt.Retire(last)
-	s.Metrics.TrimAll(metricsKeep)
 	// Eviction telemetry is Volatile by construction: how much is retired
 	// (and when) is a function of the caller's retention window, which the
 	// deterministic snapshot must not depend on.
@@ -518,7 +521,7 @@ func (s *LIFL) provision(rs *liflRound, name string, node int, role aggcore.Role
 	n := s.Cluster.Nodes[node]
 	mgr := s.Mgrs[node]
 	la := &liflAgg{node: node}
-	agg := aggcore.New(name, role, n, s.algo, s.cfg.Model.PhysLen(), s.cfg.Model.Params)
+	agg := aggcore.New(name, role, n, s.algo, s.pool)
 	agg.Mode = s.mode()
 	agg.Tracer = s.cfg.Tracer
 	agg.TraceName = traceNameFor(name, role)
@@ -656,7 +659,6 @@ func (s *LIFL) ingest(rs *liflRound, node int, j ClientJob, upd *tensor.Tensor) 
 		}
 		rs.updates++
 		s.Metrics.Meter("arrivals", sim.Minute).Mark()
-		s.Metrics.Record("arrival", 1)
 		s.dispatch(rs, node, key)
 	})
 }
@@ -854,6 +856,7 @@ func (s *LIFL) onGlobal(top *aggcore.Aggregator, out aggcore.Update) {
 	if err != nil {
 		panic(fmt.Sprintf("lifl: global update: %v", err))
 	}
+	s.pool.Put(out.Tensor) // Apply kept no reference; the top was its only consumer
 	s.global = next
 	rs.aggDone = s.Eng.Now()
 	// Appendix B: checkpoint asynchronously in the background so the
@@ -895,8 +898,6 @@ func (s *LIFL) finishRound(rs *liflRound) {
 		NodesUsed:    len(nodes),
 		CPUTime:      s.CPUTime() - rs.cpu0,
 	}
-	s.Metrics.Record("act_seconds", act.Seconds())
-	s.Metrics.Record("active_aggs", float64(s.ActiveAggregators()))
 	s.cfg.Obs.Gauge("load/act_seconds", obs.Det).Set(act.Seconds())
 	s.cfg.Obs.Gauge("load/active_aggs", obs.Det).Set(float64(s.ActiveAggregators()))
 	s.cfg.Obs.Gauge("load/arrival_rate_per_min", obs.Det).Set(s.Metrics.Meter("arrivals", sim.Minute).Rate())

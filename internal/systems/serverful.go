@@ -31,6 +31,7 @@ type SF struct {
 
 	global *tensor.Tensor
 	algo   fedavg.Algorithm
+	pool   *tensor.Pool
 
 	// Static hierarchy, created once and kept warm forever.
 	leaves  []*sfAgg
@@ -88,16 +89,16 @@ func NewSF(eng *sim.Engine, cfg Config) *SF {
 		Cluster: cl,
 		global:  newGlobal(cfg.Model),
 		algo:    fedavg.FedAvg{Workers: cfg.Workers},
+		pool:    tensor.NewPool(cfg.Model.PhysLen(), cfg.Model.Params),
 		middles: make(map[int]*aggcore.Aggregator),
 	}
-	phys, virt := cfg.Model.PhysLen(), cfg.Model.Params
 	aggNodes := s.aggNodes()
 	for i := 0; i < cfg.SFLeaves; i++ {
 		node := aggNodes[i%len(aggNodes)]
 		// Serverful aggregation is batch-style: updates queue in the
 		// monolith's in-memory queue and aggregate once the round's goal is
 		// collected (lazy, Fig. 1(b)); eager timing is LIFL's §5.4 feature.
-		a := aggcore.New(fmt.Sprintf("sf-leaf%d", i), aggcore.RoleLeaf, cl.Nodes[node], s.algo, phys, virt)
+		a := aggcore.New(fmt.Sprintf("sf-leaf%d", i), aggcore.RoleLeaf, cl.Nodes[node], s.algo, s.pool)
 		a.Mode = aggcore.Lazy
 		a.Transport = (*sfTransport)(s)
 		a.Tracer = cfg.Tracer
@@ -105,14 +106,14 @@ func NewSF(eng *sim.Engine, cfg Config) *SF {
 		s.leaves = append(s.leaves, &sfAgg{agg: a, node: node})
 	}
 	for _, node := range aggNodes {
-		m := aggcore.New(fmt.Sprintf("sf-middle-n%d", node), aggcore.RoleMiddle, cl.Nodes[node], s.algo, phys, virt)
+		m := aggcore.New(fmt.Sprintf("sf-middle-n%d", node), aggcore.RoleMiddle, cl.Nodes[node], s.algo, s.pool)
 		m.Mode = aggcore.Lazy
 		m.Transport = (*sfTransport)(s)
 		m.Tracer = cfg.Tracer
 		m.TraceName = fmt.Sprintf("MID%d", node)
 		s.middles[node] = m
 	}
-	s.top = aggcore.New("sf-top", aggcore.RoleTop, cl.Nodes[cfg.TopNode], s.algo, phys, virt)
+	s.top = aggcore.New("sf-top", aggcore.RoleTop, cl.Nodes[cfg.TopNode], s.algo, s.pool)
 	s.top.Mode = aggcore.Lazy
 	s.top.Tracer = cfg.Tracer
 	s.top.TraceName = "Top"
@@ -348,6 +349,7 @@ func (s *SF) onGlobal(top *aggcore.Aggregator, out aggcore.Update) {
 	if err != nil {
 		panic(fmt.Sprintf("sf: global update: %v", err))
 	}
+	s.pool.Put(out.Tensor) // Apply kept no reference; the top was its only consumer
 	s.global = next
 	rs.aggDone = s.Eng.Now()
 	eval := top.Node.P.EvalTime(s.cfg.Model.Bytes())

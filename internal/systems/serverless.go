@@ -37,6 +37,7 @@ type SL struct {
 
 	global *tensor.Tensor
 	algo   fedavg.Algorithm
+	pool   *tensor.Pool
 
 	// sidecars attach to sandboxes (one per pod, reused with it), keyed by
 	// sandbox ID. aggSidecar resolves the current aggregator's sidecar.
@@ -99,6 +100,7 @@ func NewSL(eng *sim.Engine, cfg Config) *SL {
 		Cluster:    cl,
 		global:     newGlobal(cfg.Model),
 		algo:       fedavg.FedAvg{Workers: cfg.Workers},
+		pool:       tensor.NewPool(cfg.Model.PhysLen(), cfg.Model.Params),
 		sidecars:   make(map[string]*sidecar.Container),
 		aggSidecar: make(map[string]*sidecar.Container),
 		hist:       make(map[int]*slRound),
@@ -366,7 +368,7 @@ func (s *SL) ensure(rs *slRound, node int, name string) {
 	s.cfg.Obs.Counter("ctrl/topics_created", obs.Det).Inc()
 	role, goal, dst := s.roleFor(rs, node, name)
 	n := s.Cluster.Nodes[node]
-	agg := aggcore.New(name, role, n, s.algo, s.cfg.Model.PhysLen(), s.cfg.Model.Params)
+	agg := aggcore.New(name, role, n, s.algo, s.pool)
 	agg.Mode = aggcore.Lazy
 	agg.Tracer = s.cfg.Tracer
 	agg.TraceName = name
@@ -518,6 +520,7 @@ func (s *SL) onGlobal(top *aggcore.Aggregator, out aggcore.Update) {
 	if err != nil {
 		panic(fmt.Sprintf("sl: global update: %v", err))
 	}
+	s.pool.Put(out.Tensor) // Apply kept no reference; the top was its only consumer
 	s.global = next
 	rs.aggDone = s.Eng.Now()
 	eval := top.Node.P.EvalTime(s.cfg.Model.Bytes())

@@ -17,6 +17,10 @@ var ErrShape = errors.New("tensor: shape mismatch")
 type Tensor struct {
 	Data       []float32
 	VirtualLen int
+
+	// pool tags a buffer handed out by a Pool; free marks it as returned.
+	pool *Pool
+	free bool
 }
 
 // New returns a zero tensor with physical length n (virtual length equal).
@@ -260,6 +264,11 @@ type Accumulator struct {
 	// workers bounds the shard-sweep pool for Add/MeanInto (<= 1 = serial).
 	// Folds are bit-identical for any value — see parallel.go.
 	workers int
+
+	// pool tags an accumulator handed out by a Pool; free marks it as
+	// returned.
+	pool *Pool
+	free bool
 }
 
 // NewAccumulator returns an empty accumulator for physical length n.
