@@ -5,11 +5,11 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fedavg"
+	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/shm"
 	"repro/internal/sim"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 )
 
 // Role is an aggregator's level in the hierarchy.
@@ -115,7 +115,8 @@ type Aggregator struct {
 	// from the original value.
 	Reweigh func(Update) float64
 
-	Tracer *trace.Recorder
+	// Tracer, when set, receives the aggregator's Agg spans.
+	Tracer *obs.SpanLog
 	// TraceName is the actor label in timelines ("LF1", "Top", ...).
 	TraceName string
 
@@ -288,7 +289,7 @@ func (a *Aggregator) pump() {
 		if a.dead {
 			return // the instance failed mid-step; the update was replayed
 		}
-		a.Tracer.Add(a.TraceName, trace.KindAgg, start, end, a.Round)
+		a.Tracer.Add(obs.Span{Actor: a.TraceName, Kind: obs.KindAgg, Start: start, End: end, Round: a.Round})
 		if err := a.state.Accumulate(u.Tensor, w); err != nil {
 			panic(fmt.Sprintf("aggcore %s: %v", a.ID, err))
 		}

@@ -364,11 +364,9 @@ func (f *fabric) cellConfig(id, clients, goal int) core.RunConfig {
 		// Each cell reports under its own telemetry prefix. Sub views share
 		// the registry's metric store (atomic, name-disjoint) but expose no
 		// span log — cells step in parallel, and the root span log is
-		// single-writer from the fabric's serial loop only. The tracer is
-		// stripped for the same reason: K recorders appending concurrently
-		// into one span slice would race.
+		// single-writer from the fabric's serial loop only, so the cells'
+		// systems record no task spans.
 		ccfg.Telemetry = f.cfg.Telemetry.Sub(fmt.Sprintf("cell/%d/", id))
-		ccfg.Tracer = nil
 	}
 	if f.spec.CheckpointRounds > 0 {
 		ccfg.Params.CheckpointPeriodRounds = f.spec.CheckpointRounds
@@ -424,10 +422,11 @@ func (f *fabric) startBeatChain(c *fcell) {
 // the survivors' aggregates into the global model.
 func (f *fabric) run() (*core.Report, *Detail, error) {
 	cfg := f.cfg
-	rep := &core.Report{System: cfg.System, Model: cfg.Model}
-	milestones := append([]float64(nil), cfg.Milestones...)
-	sort.Float64s(milestones)
-	nextMilestone := 0
+	closer, err := core.NewRoundCloser(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	rep := closer.Report
 	// credit is the effective-round account the accuracy curve advances
 	// by: each accepted cell aggregate contributes its share of the
 	// fabric-wide quota, so full participation advances exactly one round
@@ -439,45 +438,14 @@ func (f *fabric) run() (*core.Report, *Detail, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		rep.RoundWallTotal += wall
-		if wall > rep.RoundWallMax {
-			rep.RoundWallMax = wall
-		}
-		rep.RoundsRun++
 		credit += float64(shares) / float64(f.quota)
-		acc := f.curve.At(int(credit + 1e-9))
-		point := core.AccPoint{
-			Round:    r,
-			Time:     res.End,
-			CPUTime:  f.cpuTotal(),
-			Accuracy: acc,
-		}
-		if !cfg.StreamOnly {
-			rep.Rounds = append(rep.Rounds, res)
-			rep.ActiveAggs = append(rep.ActiveAggs, f.activeAggs())
-			rep.CPUPerRound = append(rep.CPUPerRound, res.CPUTime.Seconds())
-			rep.Acc = append(rep.Acc, point)
-		}
-		for nextMilestone < len(milestones) && acc >= milestones[nextMilestone] {
-			rep.Milestones = append(rep.Milestones, core.MilestoneHit{Target: milestones[nextMilestone], At: point})
-			nextMilestone++
-		}
-		if cfg.OnRound != nil || cfg.Trajectory != nil {
-			ob := core.RoundObservation{Result: res, Acc: point, Wall: wall, Shares: shares}
-			if cfg.OnRound != nil {
-				cfg.OnRound(ob)
-			}
-			if cfg.Trajectory != nil {
-				if err := cfg.Trajectory.Observe(ob); err != nil {
-					return nil, nil, fmt.Errorf("cell: trajectory sink at round %d: %w", r, err)
-				}
-			}
+		point := core.AccPoint{Round: r, Time: res.End, CPUTime: f.cpuTotal(), Accuracy: f.curve.At(int(credit + 1e-9))}
+		reached, err := closer.Close(core.RoundObservation{Result: res, Acc: point, Wall: wall, Shares: shares}, f.activeAggs())
+		if err != nil {
+			return nil, nil, err
 		}
 		rep.Elapsed = res.End
-		if !rep.Reached && acc >= cfg.TargetAccuracy {
-			rep.Reached = true
-			rep.TimeToTarget = res.End
-			rep.CPUToTarget = point.CPUTime
+		if reached {
 			break
 		}
 	}

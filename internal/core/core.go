@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/coordinator"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/systems"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 )
 
 // SystemKind selects the system under test.
@@ -318,7 +316,8 @@ type RunConfig struct {
 	Trajectory TrajectorySink
 	// Milestones lists accuracy levels whose first crossings are exported in
 	// Report.Milestones (the machine-readable time-to-accuracy trajectory).
-	// Levels are visited in ascending order; unsorted input is sorted.
+	// Levels are visited in ascending order; unsorted input is sorted, and
+	// a NaN level is rejected before the first round.
 	// Milestone capture is simulated-time only, so it is deterministic and
 	// survives StreamOnly runs.
 	Milestones []float64
@@ -327,13 +326,10 @@ type RunConfig struct {
 	// arrival series are not accumulated — pair with OnRound to stream
 	// observations instead. Scalar outcomes are still reported.
 	StreamOnly bool
-	// Tracer, when set, records task spans.
-	Tracer *trace.Recorder
 	// Telemetry, when set, receives the run's counters, gauges, histograms
-	// and span logs (see internal/obs). Off by default — a nil registry
-	// keeps every instrumented site a no-op. When Telemetry is set and
-	// Tracer is nil, NewPlatform wires a trace.Recorder over the registry's
-	// span log so system task spans land in the same telemetry plane.
+	// and span logs (see internal/obs): the round envelopes and the
+	// systems' Network/Agg/Eval task spans share its span log. Off by
+	// default — a nil registry keeps every instrumented site a no-op.
 	Telemetry *obs.Registry
 }
 
@@ -518,14 +514,6 @@ func NewPlatform(cfg RunConfig) (*Platform, error) {
 		return nil, fmt.Errorf("core: Workers must be >= 1 (got %d)", cfg.Workers)
 	}
 	eng := sim.NewEngine()
-	// With a telemetry registry but no explicit tracer, record system task
-	// spans straight into the registry's span log (root registries only;
-	// Sub views return a nil log and stay tracer-less).
-	if cfg.Telemetry != nil && cfg.Tracer == nil {
-		if log := cfg.Telemetry.Spans(); log != nil {
-			cfg.Tracer = &trace.Recorder{Log: log}
-		}
-	}
 	scfg := systems.Config{
 		Nodes:     cfg.Nodes,
 		Model:     cfg.Model,
@@ -534,7 +522,6 @@ func NewPlatform(cfg RunConfig) (*Platform, error) {
 		MC:        cfg.MC,
 		Workers:   cfg.Workers,
 		ServerOpt: cfg.ServerOpt,
-		Tracer:    cfg.Tracer,
 		Obs:       cfg.Telemetry,
 	}
 	if cfg.Cells != nil {
@@ -632,62 +619,31 @@ func (p *Platform) Run() (*Report, error) {
 		return p.runAsync()
 	}
 	cfg := p.Cfg
+	closer, err := NewRoundCloser(cfg)
+	if err != nil {
+		return nil, err
+	}
+	rep := closer.Report
 	rng := sim.NewRNG(cfg.Seed + 2)
-	rep := &Report{System: cfg.System, Model: cfg.Model}
 	// Injected (Fig. 8-style) runs number rounds from 0, matching the
 	// microbenchmark's original single-round harness.
 	first, last := 1, cfg.MaxRounds
 	if cfg.Inject != nil {
 		first, last = 0, cfg.MaxRounds-1
 	}
-	// Milestone levels are consumed in ascending order as the (monotone)
-	// accuracy curve crosses them.
-	milestones := append([]float64(nil), cfg.Milestones...)
-	sort.Float64s(milestones)
-	nextMilestone := 0
 	for r := first; r <= last; r++ {
 		result, roundWall, err := p.StepRound(rng, r, 0)
 		if err != nil {
 			return nil, err
 		}
-		rep.RoundWallTotal += roundWall
-		if roundWall > rep.RoundWallMax {
-			rep.RoundWallMax = roundWall
-		}
-		rep.RoundsRun++
 		acc := p.Curve.At(r)
-		point := AccPoint{
-			Round:    r,
-			Time:     p.Eng.Now(),
-			CPUTime:  p.Sys.CPUTime(),
-			Accuracy: acc,
-		}
-		if !cfg.StreamOnly {
-			rep.Rounds = append(rep.Rounds, result)
-			rep.ActiveAggs = append(rep.ActiveAggs, p.Sys.ActiveAggregators())
-			rep.CPUPerRound = append(rep.CPUPerRound, result.CPUTime.Seconds())
-			rep.Acc = append(rep.Acc, point)
-		}
-		for nextMilestone < len(milestones) && acc >= milestones[nextMilestone] {
-			rep.Milestones = append(rep.Milestones, MilestoneHit{Target: milestones[nextMilestone], At: point})
-			nextMilestone++
-		}
 		cfg.Telemetry.Gauge("core/accuracy", obs.Det).Set(acc)
-		if cfg.OnRound != nil || cfg.Trajectory != nil {
-			ob := RoundObservation{Result: result, Acc: point, Wall: roundWall}
-			if cfg.OnRound != nil {
-				cfg.OnRound(ob)
-			}
-			if cfg.Trajectory != nil {
-				if err := cfg.Trajectory.Observe(ob); err != nil {
-					return nil, fmt.Errorf("core: trajectory sink at round %d: %w", r, err)
-				}
-			}
+		point := AccPoint{Round: r, Time: p.Eng.Now(), CPUTime: p.Sys.CPUTime(), Accuracy: acc}
+		reached, err := closer.Close(RoundObservation{Result: result, Acc: point, Wall: roundWall}, p.Sys.ActiveAggregators())
+		if err != nil {
+			return nil, err
 		}
-		if !rep.Reached && acc >= cfg.TargetAccuracy {
-			rep.Reached = true
-			rep.TimeToTarget = p.Eng.Now()
-			rep.CPUToTarget = p.Sys.CPUTime()
+		if reached {
 			break
 		}
 	}

@@ -11,8 +11,11 @@
 // component/population/curve models. The synchronous round loop lives in
 // core.go (its per-round primitive, Platform.StepRound, is also what the
 // multi-cell fabric in internal/cell drives), the buffered-async progress
-// loop in async.go. RunConfig.Cells (CellSpec) is validated here but
-// executed by internal/cell, one layer up.
+// loop in async.go. Both, and the fabric's global loop, close each round
+// through one RoundCloser (roundclose.go): wall totals, the StreamOnly-
+// gated slices, milestones, the OnRound/Trajectory fan-out and the target
+// check. RunConfig.Cells (CellSpec) is validated here but executed by
+// internal/cell, one layer up.
 //
 // The synchronous round is decomposed into four explicit stages (see
 // stages.go): serial select & price, parallel update materialization into
@@ -32,9 +35,10 @@
 //
 // Runs are observable through RunConfig.Telemetry (internal/obs): the
 // round loop publishes round/update counters, accuracy gauges, ACT
-// histograms and per-round envelope spans; the four stages additionally
-// record wall-clock profile counters and spans behind the registry's
-// CaptureWall opt-in. Telemetry is off by default (nil registry = no-op
+// histograms and per-round envelope spans, and the systems append their
+// Network/Agg/Eval task spans to the same span log; the four stages
+// additionally record wall-clock profile counters and spans behind the
+// registry's CaptureWall opt-in. Telemetry is off by default (nil registry = no-op
 // sites), and the default snapshot is byte-identical for a fixed seed —
 // the same contract Workers and RetainRounds carry.
 package core

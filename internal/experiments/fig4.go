@@ -10,9 +10,9 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/model"
 	"repro/internal/netstack"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/systems"
-	"repro/internal/trace"
 )
 
 // Fig4Result is the outcome of the §4.1 motivation experiment: hierarchical
@@ -21,8 +21,8 @@ import (
 type Fig4Result struct {
 	NHRound sim.Duration // single aggregator, no hierarchy
 	WHRound sim.Duration // 1 top + 4 leaves, same node
-	NHTrace *trace.Recorder
-	WHTrace *trace.Recorder
+	NHTrace []obs.Span
+	WHTrace []obs.Span
 }
 
 // fig4Trainers returns the 8 trainers' (train-time) delays: remote server
@@ -38,15 +38,15 @@ func fig4Trainers(rng *sim.RNG) []sim.Duration {
 // Fig4 runs both settings with the serverful (kernel loopback) data plane
 // on one node, eight remote ResNet-152 trainers, lazy aggregation.
 func Fig4() Fig4Result {
-	res := Fig4Result{NHTrace: &trace.Recorder{}, WHTrace: &trace.Recorder{}}
-	res.NHRound = fig4Round(1, res.NHTrace)
-	res.WHRound = fig4Round(4, res.WHTrace)
+	var nh, wh obs.SpanLog
+	res := Fig4Result{NHRound: fig4Round(1, &nh), WHRound: fig4Round(4, &wh)}
+	res.NHTrace, res.WHTrace = nh.Spans(), wh.Spans()
 	return res
 }
 
 // fig4Round builds `leaves` leaf aggregators (0 leaves means NH: the top
 // aggregates client updates directly) and returns the round completion time.
-func fig4Round(leaves int, tr *trace.Recorder) sim.Duration {
+func fig4Round(leaves int, tr *obs.SpanLog) sim.Duration {
 	m := model.ResNet152
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(404)
@@ -66,7 +66,7 @@ func fig4Round(leaves int, tr *trace.Recorder) sim.Duration {
 	top.OnComplete = func(a *aggcore.Aggregator, _ aggcore.Update) {
 		eval := p.EvalTime(size)
 		a.ExecAs("aggregator", eval, eval, func(start, end sim.Duration) {
-			tr.Add("Top", trace.KindEval, start, end, 0)
+			tr.Add(obs.Span{Actor: "Top", Kind: obs.KindEval, Start: start, End: end})
 			roundEnd = end
 		})
 	}
@@ -98,7 +98,7 @@ func fig4Round(leaves int, tr *trace.Recorder) sim.Duration {
 				desLat, desCPU := p.Deserialize(size, nT)
 				qLat, qCPU := p.ShmWrite(size)
 				dst.ExecAs("sf-ingest", desLat+qLat, desCPU+qCPU, func(start, end sim.Duration) {
-					tr.Add(dst.TraceName, trace.KindNetwork, start, end, 0)
+					tr.Add(obs.Span{Actor: dst.TraceName, Kind: obs.KindNetwork, Start: start, End: end})
 					u := m.NewTensor()
 					u.Fill(1)
 					dst.Receive(aggcore.Update{Tensor: u, Weight: 1, Size: size, Round: 0})
@@ -121,7 +121,7 @@ func fig4Round(leaves int, tr *trace.Recorder) sim.Duration {
 type sfLoopback struct {
 	top *aggcore.Aggregator
 	nT  int
-	tr  *trace.Recorder
+	tr  *obs.SpanLog
 }
 
 // SendResult implements aggcore.Transport.
@@ -135,7 +135,7 @@ func (t sfLoopback) SendResult(src *aggcore.Aggregator, out aggcore.Update, _ st
 	src.ExecAs("sf-transport", serLat, serCPU, func(_, _ sim.Duration) {
 		src.Node.KernelExec("sf-transport", txLat+rxLat, txCPU+rxCPU, func(_, _ sim.Duration) {
 			t.top.ExecAs("sf-transport", desLat, desCPU, func(_, end sim.Duration) {
-				t.tr.Add(t.top.TraceName, trace.KindNetwork, start, end, out.Round)
+				t.tr.Add(obs.Span{Actor: t.top.TraceName, Kind: obs.KindNetwork, Start: start, End: end, Round: out.Round})
 				t.top.Receive(out)
 			})
 		})
@@ -145,21 +145,21 @@ func (t sfLoopback) SendResult(src *aggcore.Aggregator, out aggcore.Update, _ st
 // Fig7cResult is the LIFL counterpart timeline (Fig. 7(c)).
 type Fig7cResult struct {
 	Round sim.Duration
-	Trace *trace.Recorder
+	Trace []obs.Span
 }
 
 // Fig7c runs the same 8-trainer ResNet-152 round on LIFL's data plane with
 // the paper's topology (four leaves feeding the top directly, one node).
 func Fig7c() Fig7cResult {
 	eng := sim.NewEngine()
-	tr := &trace.Recorder{}
+	reg := obs.New(obs.Options{})
 	s := systems.NewLIFL(eng, systems.Config{
-		Nodes:  1,
-		Model:  model.ResNet152,
-		MC:     100,
-		Seed:   404,
-		Flags:  systems.Flags{LocalityPlacement: true, HierarchyPlan: true, Eager: true},
-		Tracer: tr,
+		Nodes: 1,
+		Model: model.ResNet152,
+		MC:    100,
+		Seed:  404,
+		Flags: systems.Flags{LocalityPlacement: true, HierarchyPlan: true, Eager: true},
+		Obs:   reg,
 	})
 	s.ForcePlan = func(node string, updates int) autoscaler.Plan {
 		return autoscaler.Plan{Node: node, Updates: updates, Leaves: 4, Middle: false, LeafGoals: []int{2, 2, 2, 2}}
@@ -178,7 +178,7 @@ func Fig7c() Fig7cResult {
 	if err := eng.RunUntilIdle(); err != nil {
 		panic(err)
 	}
-	return Fig7cResult{Round: round, Trace: tr}
+	return Fig7cResult{Round: round, Trace: taskSpans(reg)}
 }
 
 // FormatFig4 renders both timelines plus LIFL's, like Fig. 4 and Fig. 7(c).
@@ -189,11 +189,11 @@ func FormatFig4(f Fig4Result, l Fig7cResult) string {
 		horizon = f.WHRound
 	}
 	fmt.Fprintf(&b, "Fig.4 upper — no hierarchy (NH), round = %.1fs (paper 59.8s)\n", f.NHRound.Seconds())
-	b.WriteString(f.NHTrace.RenderGantt([]string{"Top"}, horizon, 90))
+	b.WriteString(renderGantt(f.NHTrace, []string{"Top"}, horizon, 90))
 	fmt.Fprintf(&b, "\nFig.4 lower — with hierarchy (WH), round = %.1fs (paper 57s)\n", f.WHRound.Seconds())
-	b.WriteString(f.WHTrace.RenderGantt([]string{"LF1", "LF2", "LF3", "LF4", "Top"}, horizon, 90))
+	b.WriteString(renderGantt(f.WHTrace, []string{"LF1", "LF2", "LF3", "LF4", "Top"}, horizon, 90))
 	fmt.Fprintf(&b, "\nFig.7(c) — LIFL data plane, round = %.1fs (paper 44.9s)\n", l.Round.Seconds())
 	actors := []string{"r0-n0-leaf0", "r0-n0-leaf1", "r0-n0-leaf2", "r0-n0-leaf3", "Top"}
-	b.WriteString(l.Trace.RenderGantt(actors, horizon, 90))
+	b.WriteString(renderGantt(l.Trace, actors, horizon, 90))
 	return b.String()
 }

@@ -6,18 +6,18 @@ import (
 	"strings"
 
 	"repro/internal/harness"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // SpansScenario runs the named scenario and renders each run's task spans
 // as an ASCII Gantt (the `liflsim spans` verb) — the standing visual of
 // Fig. 4 / Fig. 7(c), now available for any registered scenario. Runs
-// execute sequentially with a private trace.Recorder each; the busiest
-// eight actors (by total span time, ties broken by name) get rows.
-// Fabric runs are skipped with a note: cells step in parallel and carry
-// no shared recorder (see internal/cell).
+// execute sequentially with a private telemetry registry each, whose span
+// log carries the systems' task spans; the busiest eight actors (by total
+// span time, ties broken by name) get rows. Fabric runs are skipped with a
+// note: cells step in parallel and record no task spans (see internal/cell).
 func SpansScenario(name string, seed int64) (string, error) {
 	sc, ok := scenario.Get(name)
 	if !ok {
@@ -37,22 +37,30 @@ func SpansScenario(name string, seed int64) (string, error) {
 			fmt.Fprintf(&b, "\nrun %s: fabric run (cells step in parallel; no shared span log) — skipped\n", runs[i].Label)
 			continue
 		}
-		rec := &trace.Recorder{}
-		runs[i].Cfg.Tracer = rec
+		// The round envelopes share the log's cap with the task spans. Every
+		// envelope follows at least one task span of its round, so a log of
+		// twice the default cap always holds the first DefaultMaxSpans task
+		// spans — the ones a task-span-only log would have kept.
+		reg := obs.New(obs.Options{MaxSpans: 2 * obs.DefaultMaxSpans})
+		runs[i].Cfg.Telemetry = reg
 		if _, _, err := harness.Execute(runs[i].Cfg); err != nil {
 			return "", fmt.Errorf("spans %s/%s: %w", name, runs[i].Label, err)
 		}
-		fmt.Fprintf(&b, "\nrun %s (%d spans):\n", runs[i].Label, len(rec.Spans()))
-		b.WriteString(rec.RenderGantt(busiestActors(rec, 8), 0, 100))
+		spans := taskSpans(reg)
+		if len(spans) > obs.DefaultMaxSpans {
+			spans = spans[:obs.DefaultMaxSpans]
+		}
+		fmt.Fprintf(&b, "\nrun %s (%d spans):\n", runs[i].Label, len(spans))
+		b.WriteString(renderGantt(spans, busiestActors(spans, 8), 0, 100))
 	}
 	return b.String(), nil
 }
 
 // busiestActors picks the top n actors by total span time, descending,
 // ties broken by name — a deterministic row order for the Gantt.
-func busiestActors(rec *trace.Recorder, n int) []string {
+func busiestActors(spans []obs.Span, n int) []string {
 	totals := make(map[string]sim.Duration)
-	for _, s := range rec.Spans() {
+	for _, s := range spans {
 		totals[s.Actor] += s.End - s.Start
 	}
 	actors := make([]string, 0, len(totals))

@@ -5,8 +5,8 @@
 // trace_event rendering, and the live `liflsim watch` dashboard model.
 //
 // Every instrumented layer (core's staged round loop, the async version
-// loop, the cell fabric, the systems' control planes, the eBPF data
-// plane) publishes through one *Registry handed down via
+// loop, the cell fabric, the systems' control planes and task spans, the
+// eBPF data plane) publishes through one *Registry handed down via
 // core.RunConfig.Telemetry. Telemetry is off by default: a nil registry
 // makes every handle and method a no-op, so instrumentation costs one
 // nil check on paths that never opted in.

@@ -34,6 +34,17 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
+// TestNilSpanLogSafe: a nil span log — what systems and aggregators hold
+// when telemetry is off or they run on a fabric cell's Sub registry — takes
+// task spans without panicking and reports itself empty.
+func TestNilSpanLogSafe(t *testing.T) {
+	var l *SpanLog
+	l.Add(Span{Actor: "a", Kind: KindAgg, End: sim.Second, Round: 1})
+	if l.Len() != 0 || l.Spans() != nil || l.Dropped() != 0 {
+		t.Fatal("nil span log stored something")
+	}
+}
+
 // TestRegistryBasics: handles are get-or-create, Sub prefixes names, and
 // bulk reads come back name-sorted.
 func TestRegistryBasics(t *testing.T) {

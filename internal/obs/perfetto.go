@@ -17,8 +17,8 @@ const (
 
 // Perfetto renders the registry's span logs as Chrome/Perfetto
 // trace_event JSON (load it at ui.perfetto.dev or chrome://tracing).
-// Virtual-time spans — the round envelopes plus any Network/Agg/Eval
-// spans a trace.Recorder fed into the shared log — appear as pid 1 with
+// Virtual-time spans — the round envelopes plus the systems'
+// Network/Agg/Eval task spans — appear as pid 1 with
 // one thread per actor in first-appearance order; timestamps are exact
 // microseconds with nanosecond decimals, so the bytes are as
 // deterministic as the spans. Under CaptureWall the wall stage spans
@@ -37,8 +37,8 @@ func (r *Registry) Perfetto() []byte {
 }
 
 // PerfettoTrace renders explicit span slices as trace_event JSON —
-// virtual on pid 1, wall (may be nil) on pid 2. The standalone form lets
-// a bare trace.Recorder export without a registry.
+// virtual on pid 1, wall (may be nil) on pid 2 — for span slices held
+// outside a registry.
 func PerfettoTrace(virtual, wall []Span) []byte {
 	var b strings.Builder
 	b.WriteString(`{"displayTimeUnit":"ms","otherData":{"schema":"lifl-perfetto/1"},"traceEvents":[`)

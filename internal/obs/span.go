@@ -2,11 +2,19 @@ package obs
 
 import "repro/internal/sim"
 
-// KindRound labels the per-round (or per-version) envelope spans the
-// round loops append; every other span of round R nests inside R's
-// envelope — the invariant the Perfetto export (and its CI schema check)
-// relies on.
-const KindRound = "Round"
+// Span kinds. KindRound labels the per-round (or per-version) envelope
+// spans the round loops append; every other span of round R nests inside
+// R's envelope — the invariant the Perfetto export (and its CI schema
+// check) relies on. The task kinds are the systems' spans and match the
+// paper's Fig. 4 / Fig. 7(c) legend.
+const (
+	KindRound   = "Round"
+	KindNetwork = "Network" // receiving/transferring model updates
+	KindAgg     = "Agg"     // aggregation compute
+	KindEval    = "Eval"    // post-round global model evaluation
+	KindStartup = "Startup" // sandbox cold/warm start
+	KindQueue   = "Queue"   // time spent queued before service
+)
 
 // Span is one task execution by one actor on one timeline. Start and End
 // are virtual (sim.Duration) on the Spans log and wall-clock nanoseconds

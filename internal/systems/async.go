@@ -33,7 +33,6 @@ import (
 	"repro/internal/shm"
 	"repro/internal/sim"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 )
 
 // asyncBufferID is the buffer aggregator's logical name in sockmaps and
@@ -230,7 +229,7 @@ func (s *Async) startBuffer() {
 	n := s.Cluster.Nodes[s.cfg.TopNode]
 	agg := aggcore.New(asyncBufferID, aggcore.RoleTop, n, fedavg.FedAvg{Workers: s.cfg.Workers}, s.pool)
 	agg.Mode = aggcore.Eager // the eager pipeline is what makes the buffer fold on arrival
-	agg.Tracer = s.cfg.Tracer
+	agg.Tracer = s.cfg.Obs.Spans()
 	agg.TraceName = "Buf"
 	agg.OnComplete = s.onBuffer
 	agg.Reweigh = s.reweigh
@@ -464,7 +463,7 @@ func (s *Async) onBuffer(top *aggcore.Aggregator, out aggcore.Update) {
 	s.discarded0 = s.buffer.Discarded
 	eval := top.Node.P.EvalTime(s.cfg.Model.Bytes())
 	top.ExecAs("aggregator", eval, eval, func(start, end sim.Duration) {
-		s.cfg.Tracer.Add(top.TraceName, trace.KindEval, start, end, v.Version)
+		s.cfg.Obs.Spans().Add(obs.Span{Actor: top.TraceName, Kind: obs.KindEval, Start: start, End: end, Round: v.Version})
 		v.End = s.Eng.Now()
 		v.CPUTime = s.CPUTime()
 		// Re-arm for the next version; updates that queued during the

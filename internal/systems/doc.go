@@ -27,7 +27,9 @@
 // (their values depend on the retention window) and appear only in
 // wall-opt-in snapshots. Finalize publishes the eBPF data-plane gauges
 // (skmsg runs, redirects, drops, sockmap size) and load/* planner
-// inputs.
+// inputs. The systems and their aggregators append Network/Agg/Eval task
+// spans to Config.Obs.Spans() — nil without telemetry and on a fabric
+// cell's Sub registry, where no spans are recorded.
 //
 // Layer (DESIGN.md): wires the component models into whole systems —
 // the only package that knows what LIFL or a baseline is. core drives these

@@ -28,7 +28,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 // LIFL is the full system of Fig. 3.
@@ -523,7 +522,7 @@ func (s *LIFL) provision(rs *liflRound, name string, node int, role aggcore.Role
 	la := &liflAgg{node: node}
 	agg := aggcore.New(name, role, n, s.algo, s.pool)
 	agg.Mode = s.mode()
-	agg.Tracer = s.cfg.Tracer
+	agg.Tracer = s.cfg.Obs.Spans()
 	agg.TraceName = traceNameFor(name, role)
 	agg.Assign(role, goal, dst, rs.round)
 	agg.Transport = (*liflTransport)(s)
@@ -803,7 +802,7 @@ func (t *liflTransport) SendResult(src *aggcore.Aggregator, out aggcore.Update, 
 	n := src.Node
 	shmLat, shmCPU := n.P.ShmWrite(out.Size)
 	src.ExecAs("aggregator", shmLat, shmCPU, func(start, end sim.Duration) {
-		s.cfg.Tracer.Add(src.TraceName, trace.KindNetwork, start, end, rs.round)
+		s.cfg.Obs.Spans().Add(obs.Span{Actor: src.TraceName, Kind: obs.KindNetwork, Start: start, End: end, Round: rs.round})
 		key, err := n.Shm.Put(out.Tensor, out.Weight, src.ID, out.Round)
 		if err != nil {
 			panic(fmt.Sprintf("lifl transport: %v", err))
@@ -866,7 +865,7 @@ func (s *LIFL) onGlobal(top *aggcore.Aggregator, out aggcore.Update) {
 	}
 	eval := top.Node.P.EvalTime(s.cfg.Model.Bytes())
 	top.ExecAs("aggregator", eval, eval, func(start, end sim.Duration) {
-		s.cfg.Tracer.Add(top.TraceName, trace.KindEval, start, end, rs.round)
+		s.cfg.Obs.Spans().Add(obs.Span{Actor: top.TraceName, Kind: obs.KindEval, Start: start, End: end, Round: rs.round})
 		s.finishRound(rs)
 	})
 }

@@ -15,9 +15,9 @@ import (
 	"repro/internal/aggcore"
 	"repro/internal/fedavg"
 	"repro/internal/netstack"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 
 	"repro/internal/cluster"
 )
@@ -101,7 +101,7 @@ func NewSF(eng *sim.Engine, cfg Config) *SF {
 		a := aggcore.New(fmt.Sprintf("sf-leaf%d", i), aggcore.RoleLeaf, cl.Nodes[node], s.algo, s.pool)
 		a.Mode = aggcore.Lazy
 		a.Transport = (*sfTransport)(s)
-		a.Tracer = cfg.Tracer
+		a.Tracer = cfg.Obs.Spans()
 		a.TraceName = fmt.Sprintf("LF%d", i+1)
 		s.leaves = append(s.leaves, &sfAgg{agg: a, node: node})
 	}
@@ -109,13 +109,13 @@ func NewSF(eng *sim.Engine, cfg Config) *SF {
 		m := aggcore.New(fmt.Sprintf("sf-middle-n%d", node), aggcore.RoleMiddle, cl.Nodes[node], s.algo, s.pool)
 		m.Mode = aggcore.Lazy
 		m.Transport = (*sfTransport)(s)
-		m.Tracer = cfg.Tracer
+		m.Tracer = cfg.Obs.Spans()
 		m.TraceName = fmt.Sprintf("MID%d", node)
 		s.middles[node] = m
 	}
 	s.top = aggcore.New("sf-top", aggcore.RoleTop, cl.Nodes[cfg.TopNode], s.algo, s.pool)
 	s.top.Mode = aggcore.Lazy
-	s.top.Tracer = cfg.Tracer
+	s.top.Tracer = cfg.Obs.Spans()
 	s.top.TraceName = "Top"
 	s.top.OnComplete = s.onGlobal
 	// Always-on allocation sized to the static fleet ("we always maximize
@@ -258,7 +258,7 @@ func (s *SF) ingest(rs *sfRound, leaf *sfAgg, j ClientJob, upd *tensor.Tensor) {
 		desLat, desCPU := n.P.Deserialize(size, tr.NTensors)
 		qLat, qCPU := n.P.ShmWrite(size) // in-memory queue enqueue copy
 		leaf.agg.ExecAs("sf-ingest", desLat+qLat, desCPU+qCPU, func(start, end sim.Duration) {
-			s.cfg.Tracer.Add(leaf.agg.TraceName, trace.KindNetwork, start, end, rs.round)
+			s.cfg.Obs.Spans().Add(obs.Span{Actor: leaf.agg.TraceName, Kind: obs.KindNetwork, Start: start, End: end, Round: rs.round})
 			if !rs.hasFirst {
 				rs.hasFirst = true
 				rs.first = s.Eng.Now()
@@ -295,7 +295,7 @@ func (t *sfTransport) SendResult(src *aggcore.Aggregator, out aggcore.Update, ds
 	recvHalf := func() {
 		dn.KernelExec("sf-transport", rxLat, rxCPU, func(_, _ sim.Duration) {
 			dst.ExecAs("sf-transport", desLat, desCPU, func(_, _ sim.Duration) {
-				s.cfg.Tracer.Add(dst.TraceName, trace.KindNetwork, startT, s.Eng.Now(), out.Round)
+				s.cfg.Obs.Spans().Add(obs.Span{Actor: dst.TraceName, Kind: obs.KindNetwork, Start: startT, End: s.Eng.Now(), Round: out.Round})
 				dst.Receive(out)
 			})
 		})
@@ -354,7 +354,7 @@ func (s *SF) onGlobal(top *aggcore.Aggregator, out aggcore.Update) {
 	rs.aggDone = s.Eng.Now()
 	eval := top.Node.P.EvalTime(s.cfg.Model.Bytes())
 	top.ExecAs("aggregator", eval, eval, func(start, end sim.Duration) {
-		s.cfg.Tracer.Add(top.TraceName, trace.KindEval, start, end, rs.round)
+		s.cfg.Obs.Spans().Add(obs.Span{Actor: top.TraceName, Kind: obs.KindEval, Start: start, End: end, Round: rs.round})
 		rs.finished = true
 		end2 := s.Eng.Now()
 		act := rs.aggDone - rs.start

@@ -23,7 +23,6 @@ import (
 	"repro/internal/sidecar"
 	"repro/internal/sim"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 )
 
 // SL is the serverless baseline system.
@@ -370,7 +369,7 @@ func (s *SL) ensure(rs *slRound, node int, name string) {
 	n := s.Cluster.Nodes[node]
 	agg := aggcore.New(name, role, n, s.algo, s.pool)
 	agg.Mode = aggcore.Lazy
-	agg.Tracer = s.cfg.Tracer
+	agg.Tracer = s.cfg.Obs.Spans()
 	agg.TraceName = name
 	agg.Assign(role, goal, dst, rs.round)
 	agg.Transport = (*slTransport)(s)
@@ -397,7 +396,7 @@ func (s *SL) ensure(rs *slRound, node int, name string) {
 			sc.Intercept(m.Size, func() {
 				desLat, desCPU := n.P.Deserialize(m.Size, len(s.cfg.Model.Layers))
 				agg.ExecAs("sl-ingest", desLat, desCPU, func(start, end sim.Duration) {
-					s.cfg.Tracer.Add(agg.TraceName, trace.KindNetwork, start, end, rs.round)
+					s.cfg.Obs.Spans().Add(obs.Span{Actor: agg.TraceName, Kind: obs.KindNetwork, Start: start, End: end, Round: rs.round})
 					agg.Receive(pl.u)
 				})
 			})
@@ -479,7 +478,7 @@ func (t *slTransport) SendResult(src *aggcore.Aggregator, out aggcore.Update, ds
 		txLat, txCPU := n.P.KernelTraversal(out.Size)
 		src.ExecAs("sl-transport", serLat, serCPU, func(_, _ sim.Duration) {
 			n.KernelExec("sl-transport", txLat, txCPU, func(_, _ sim.Duration) {
-				s.cfg.Tracer.Add(src.TraceName, trace.KindNetwork, startT, s.Eng.Now(), out.Round)
+				s.cfg.Obs.Spans().Add(obs.Span{Actor: src.TraceName, Kind: obs.KindNetwork, Start: startT, End: s.Eng.Now(), Round: out.Round})
 				forward := func(onNode int) {
 					s.ensure(rs, onNode, dstID)
 					s.Brokers[onNode].Publish(dstID, out.Size, brokerPayload{u: out})
@@ -525,7 +524,7 @@ func (s *SL) onGlobal(top *aggcore.Aggregator, out aggcore.Update) {
 	rs.aggDone = s.Eng.Now()
 	eval := top.Node.P.EvalTime(s.cfg.Model.Bytes())
 	top.ExecAs("aggregator", eval, eval, func(start, end sim.Duration) {
-		s.cfg.Tracer.Add(top.TraceName, trace.KindEval, start, end, rs.round)
+		s.cfg.Obs.Spans().Add(obs.Span{Actor: top.TraceName, Kind: obs.KindEval, Start: start, End: end, Round: rs.round})
 		rs.finished = true
 		now := s.Eng.Now()
 		act := rs.aggDone - rs.start

@@ -7,7 +7,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tensor"
-	"repro/internal/trace"
 )
 
 // Flags select LIFL's orchestration features for the Fig. 8 ablation:
@@ -66,11 +65,11 @@ type Config struct {
 	// momentum on the ScaleAdd-fused path). All systems share the same
 	// optimizer semantics so cross-system comparisons stay algorithm-equal.
 	ServerOpt fedavg.ServerOpt
-	// Tracer, when set, records Network/Agg/Eval spans for the timelines.
-	Tracer *trace.Recorder
 	// Obs, when set, receives control-plane and load telemetry (see
-	// internal/obs). A nil registry keeps every instrumented site a no-op;
-	// systems never allocate one themselves.
+	// internal/obs), and its span log (Obs.Spans(), nil on a Sub view)
+	// the Network/Agg/Eval task spans of the Fig. 4 / Fig. 7(c) timelines.
+	// A nil registry keeps every instrumented site a no-op; systems never
+	// allocate one themselves.
 	Obs *obs.Registry
 }
 
