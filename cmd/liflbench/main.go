@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	liflbench                                  # measure everything -> BENCH_PR14.json
+//	liflbench                                  # measure everything -> BENCH_PR15.json
 //	liflbench -short                           # only short-class scenarios (the PR-CI gate)
 //	liflbench -scenario fig9-r18,million-clients
 //	liflbench -baseline BENCH_baseline.json -tolerance 0.15
@@ -42,7 +42,7 @@ import (
 const placementScenario = "placement-10k"
 
 func main() {
-	out := flag.String("out", "BENCH_PR14.json", "output suite path")
+	out := flag.String("out", "BENCH_PR15.json", "output suite path")
 	baseline := flag.String("baseline", "", "baseline suite to compare against (empty = measure only)")
 	tolerance := flag.Float64("tolerance", perfrec.DefaultTolerance, "allowed fractional growth for deterministic metrics (0 = exact equality)")
 	wallTol := flag.Float64("wall-tolerance", 0, "allowed fractional growth for wall-clock metrics (0 = 4x tolerance)")

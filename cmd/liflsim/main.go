@@ -26,7 +26,7 @@
 // any worker count.
 //
 // -workers N parallelizes *inside* each run: the staged round loop's
-// population synthesis, update materialization, per-cell rounds and
+// update materialization, per-cell construction and rounds, and
 // aggregation folds share an N-goroutine pool (N >= 1). Output is
 // byte-identical for any value. When not passed, registry scenarios keep
 // their own pinned worker counts (e.g. 10m-clients pins 8).

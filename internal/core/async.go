@@ -71,7 +71,7 @@ func (p *Platform) runAsync() (*Report, error) {
 			ID:          p.Pop.ClientID(idx[0]),
 			Node:        node,
 			Delay:       p.Pop.TrainTime(c),
-			Weight:      float64(c.Samples),
+			Weight:      float64(c.Samples()),
 			BaseVersion: base,
 			MakeUpdate: func(dst *tensor.Tensor) {
 				p.Pop.LocalUpdateInto(dst, c, global, effRound)

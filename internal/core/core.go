@@ -245,12 +245,12 @@ type RunConfig struct {
 	MC   float64
 	Seed int64
 	// Workers bounds the goroutine pool the staged round loop may use for
-	// its parallel stages (population synthesis, update materialization,
-	// the sharded aggregation fold; see stages.go). 0 or 1 runs every
-	// stage serially. The Report is byte-identical for ANY value — the
-	// parallel stages are pure per-element work on fixed shard boundaries,
-	// and every RNG draw stays serial — so Workers is a wall-clock knob,
-	// never a semantics knob.
+	// its parallel stages (update materialization and the sharded
+	// aggregation fold; see stages.go). 0 or 1 runs every stage serially.
+	// The Report is byte-identical for ANY value — the parallel stages are
+	// pure per-element work on fixed shard boundaries, and every RNG draw
+	// stays serial — so Workers is a wall-clock knob, never a semantics
+	// knob.
 	Workers int
 	// RetainRounds is the control-plane record retention window: after
 	// round r closes, the round loop retires every record belonging to
@@ -597,7 +597,6 @@ func NewPlatform(cfg RunConfig) (*Platform, error) {
 		Model:      cfg.Model,
 		Class:      cfg.Class,
 		Seed:       cfg.Seed + 1,
-		Workers:    cfg.Workers,
 	})
 	return &Platform{
 		Cfg:      cfg,
@@ -759,7 +758,7 @@ func (p *Platform) roundJobs(rng *sim.RNG, round, goal int) []systems.ClientJob 
 		jobs = append(jobs, systems.ClientJob{
 			ID:     p.Pop.ClientID(i),
 			Delay:  delay,
-			Weight: float64(c.Samples),
+			Weight: float64(c.Samples()),
 		})
 	}
 	p.stageWall("select", selStart, round)

@@ -14,8 +14,6 @@ var glyphs = map[string]rune{
 	obs.KindNetwork: '▒',
 	obs.KindAgg:     '█',
 	obs.KindEval:    '▓',
-	obs.KindStartup: '*',
-	obs.KindQueue:   '.',
 }
 
 // taskSpans returns the spans of a registry's span log without the round

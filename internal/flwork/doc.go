@@ -18,11 +18,12 @@
 // Layer (DESIGN.md): workload layer under internal/core — client
 // population, non-IID workload, accuracy curve shared by every system.
 // Populations are stored as chunked value slices (24 B/client, no
-// per-client pointers or ID strings — IDs derive on demand) and
-// synthesized in two phases: a serial pass makes every RNG draw in the
-// legacy order, then a parallel pass (Config.Workers) applies the pure
-// per-client transforms — so a 10M-client population builds in well under
-// a second, bit-identical for any worker count.
+// per-client pointers or ID strings — IDs derive on demand). Synthesis
+// keeps the draws resident and derives attributes on access: one serial
+// pass makes every RNG draw in the legacy order and stores the raw
+// values, and Client.Samples and Client.Speed evaluate the power-law and
+// log-normal transforms only for the clients a round actually reads —
+// bit-identical to transforming all of them up front.
 //
 // Client updates are defined by one expression per element i,
 // float32(math.Sin(float64(i)*0.01+φ) * mag), and are bit-identical to it.

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/model"
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/tensor"
 )
@@ -28,13 +27,38 @@ const (
 // population) and the ID string is derived on demand (Population.ClientID),
 // so a 10M-client population costs 10M × 24 B of live heap instead of 10M
 // pointers, structs and ID strings.
+//
+// A client holds its three raw RNG draws; Samples and Speed derive the
+// FedAvg weight and compute multiplier from them on access, so synthesis
+// pays for no transform whose result is never read.
 type Client struct {
-	Samples int // c_k, the FedAvg weight
-	// Speed is a per-client compute multiplier (heterogeneity), ~LogNormal.
-	Speed float64
+	u float64 // uniform draw behind Samples
+	z float64 // standard-normal draw behind Speed
 	// LabelSkew in [0,1] parameterizes this client's data direction; used
 	// to derive deterministic per-client update perturbations.
 	LabelSkew float64
+}
+
+// Samples returns c_k, the client's FedAvg weight: a power-law sample
+// count (most clients small, a heavy tail) capped at 2,000.
+func (c *Client) Samples() int {
+	x := 120 * math.Pow(c.u, -0.45) // power law tail
+	if x >= 2_000 {
+		// Past the cap. This also keeps x = +Inf (a zero draw) from the
+		// int conversion, whose result out of range is platform-defined.
+		return 2_000
+	}
+	samples := 30 + int(x)
+	if samples > 2_000 {
+		samples = 2_000
+	}
+	return samples
+}
+
+// Speed returns the client's compute multiplier (heterogeneity):
+// LogNormal(median 1, sigma 0.12) = 1.0·e^(0.12·N).
+func (c *Client) Speed() float64 {
+	return 1.0 * math.Exp(0.12*c.z)
 }
 
 // Chunk geometry for the population's client storage: 1<<16 clients
@@ -78,25 +102,18 @@ type Config struct {
 	Model      model.Spec
 	Class      ClientClass
 	Seed       int64
-	// Workers bounds the pool for the synthesis's parallel transform phase
-	// (<= 1 = serial). The synthesized population is bit-identical for any
-	// value: all RNG draws happen serially in the legacy order, and the
-	// parallel phase applies only pure per-client transforms.
+	// Deprecated: ignored. Synthesis is a serial pass of RNG draws.
 	Workers int
 }
 
-// NewPopulation synthesizes the client set. Sample counts follow the
-// power-law FedScale reports for FEMNIST (most clients small, a heavy tail);
-// speeds are log-normal around 1.
-//
-// Synthesis is two-phase so it parallelizes without touching the draw
-// sequence: phase one consumes the RNG serially, client by client, in the
-// exact legacy order (samples-uniform, speed-normal, skew-uniform — the
-// normal draw's ziggurat consumes a variable number of underlying values,
-// so the stream cannot be split); phase two applies the pure per-client
-// transforms (math.Pow for the sample power law, math.Exp for the
-// log-normal speed) across the worker pool. Same inputs, same operations,
-// same per-client order ⇒ bit-identical to the legacy single loop.
+// NewPopulation synthesizes the client set: one serial pass that makes
+// each client's draws in the legacy order (samples-uniform, speed-normal,
+// skew-uniform — the normal draw's ziggurat consumes a variable number of
+// underlying values, so the stream cannot be split) and stores them raw.
+// Sample counts (a FedScale-style power law for FEMNIST) and log-normal
+// speeds derive on access from the stored draws (Client.Samples,
+// Client.Speed) by the same expressions, so the population is
+// bit-identical to one transformed eagerly.
 func NewPopulation(eng *sim.Engine, cfg Config) *Population {
 	rng := sim.NewRNG(cfg.Seed)
 	p := &Population{
@@ -121,11 +138,6 @@ func NewPopulation(eng *sim.Engine, cfg Config) *Population {
 	}
 	nchunks := (cfg.NumClients + clientChunkSize - 1) / clientChunkSize
 	p.chunks = make([][]Client, nchunks)
-	// Phase one (serial): the RNG draws, stashed raw in the client's own
-	// fields so no scratch array scales with the population. The uniform
-	// for the sample count parks its IEEE-754 bits in the Samples int
-	// (values in [0,1) are non-negative and fit), the raw normal parks in
-	// Speed, and the skew uniform is already its final value.
 	for ci := range p.chunks {
 		lo := ci << clientChunkShift
 		size := cfg.NumClients - lo
@@ -134,29 +146,13 @@ func NewPopulation(eng *sim.Engine, cfg Config) *Population {
 		}
 		chunk := make([]Client, size)
 		for i := range chunk {
-			chunk[i] = Client{
-				Samples:   int(math.Float64bits(rng.Float64())),
-				Speed:     rng.NormFloat64(),
-				LabelSkew: rng.Float64(),
-			}
+			c := &chunk[i]
+			c.u = rng.Float64()
+			c.z = rng.NormFloat64()
+			c.LabelSkew = rng.Float64()
 		}
 		p.chunks[ci] = chunk
 	}
-	// Phase two (parallel): pure transforms, chunk per task.
-	par.Do(cfg.Workers, nchunks, func(ci int) {
-		chunk := p.chunks[ci]
-		for i := range chunk {
-			c := &chunk[i]
-			u := math.Float64frombits(uint64(c.Samples))
-			samples := 30 + int(120*math.Pow(u, -0.45)) // power law tail
-			if samples > 2_000 {
-				samples = 2_000
-			}
-			c.Samples = samples
-			// Speed = LogNormal(median 1, sigma 0.12) = 1.0·e^(0.12·N).
-			c.Speed = 1.0 * math.Exp(0.12*c.Speed)
-		}
-	})
 	return p
 }
 
@@ -185,7 +181,7 @@ func (p *Population) ClientID(i int) string {
 
 // TrainTime returns how long client c needs for one local training pass.
 func (p *Population) TrainTime(c *Client) sim.Duration {
-	t := float64(p.BaseTrainTime) / c.Speed
+	t := float64(p.BaseTrainTime) / c.Speed()
 	if p.Class == Mobile {
 		// The 8-way host share is already folded into BaseTrainTime for
 		// mobiles; add the per-round contention jitter instead.
@@ -208,7 +204,7 @@ func (p *Population) Hibernation(c *Client) sim.Duration {
 // LocalUpdate produces client c's model update for the given round: the
 // global model plus a deterministic, client-specific perturbation that
 // shrinks as training converges. The returned tensor has the model's
-// physical/virtual geometry, and the FedAvg weight is c.Samples.
+// physical/virtual geometry, and the FedAvg weight is c.Samples().
 func (p *Population) LocalUpdate(c *Client, global *tensor.Tensor, round int) *tensor.Tensor {
 	u := global.Clone()
 	p.perturb(u, c, round)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -25,35 +26,88 @@ func pop(class ClientClass, n int) *Population {
 func TestPopulationDeterministic(t *testing.T) {
 	a, b := pop(Mobile, 100), pop(Mobile, 100)
 	for i := 0; i < a.Len(); i++ {
-		if a.Client(i).Samples != b.Client(i).Samples || a.Client(i).Speed != b.Client(i).Speed {
+		if a.Client(i).Samples() != b.Client(i).Samples() || a.Client(i).Speed() != b.Client(i).Speed() {
 			t.Fatal("same seed diverged")
 		}
 	}
 }
 
-// TestPopulationWorkersBitIdentical pins the two-phase synthesis contract:
-// the worker count changes only who runs the pure transform phase, never
-// the values — the draws themselves stay serial and in legacy order.
-func TestPopulationWorkersBitIdentical(t *testing.T) {
-	// Enough clients to span several storage chunks.
+// eagerClient is a client as the eager synthesis stored it: every
+// transform applied up front.
+type eagerClient struct {
+	samples          int
+	speed, labelSkew float64
+}
+
+// eagerPopulation is the eager synthesis the derived-on-access storage
+// replaced, kept as the reference: one loop over the clients, drawing in
+// the legacy order and transforming at once.
+func eagerPopulation(n int, seed int64) []eagerClient {
+	rng := sim.NewRNG(seed)
+	out := make([]eagerClient, n)
+	for i := range out {
+		samples := 30 + int(120*math.Pow(rng.Float64(), -0.45)) // power law tail
+		if samples > 2_000 {
+			samples = 2_000
+		}
+		out[i] = eagerClient{
+			samples:   samples,
+			speed:     1.0 * math.Exp(0.12*rng.NormFloat64()),
+			labelSkew: rng.Float64(),
+		}
+	}
+	return out
+}
+
+// TestPopulationMatchesEagerReference pins derived-on-access synthesis
+// bit for bit to the eager one, for both classes and several seeds, over
+// a population spanning several storage chunks.
+func TestPopulationMatchesEagerReference(t *testing.T) {
 	n := 3*clientChunkSize + 117
 	if testing.Short() {
-		n = clientChunkSize + 117
+		n = clientChunkSize - 3
 	}
-	mk := func(workers int) *Population {
-		return NewPopulation(sim.NewEngine(), Config{
-			NumClients: n, Model: model.ResNet18, Class: Mobile, Seed: 5, Workers: workers,
-		})
-	}
-	ref := mk(1)
-	for _, w := range []int{2, 3, 8} {
-		p := mk(w)
-		for i := 0; i < n; i++ {
-			a, b := ref.Client(i), p.Client(i)
-			if a.Samples != b.Samples || a.Speed != b.Speed || a.LabelSkew != b.LabelSkew {
-				t.Fatalf("workers=%d: client %d differs: %+v vs %+v", w, i, *a, *b)
+	for _, class := range []ClientClass{Mobile, Server} {
+		for _, seed := range []int64{1, 5, 7919} {
+			ref := eagerPopulation(n, seed)
+			p := NewPopulation(sim.NewEngine(), Config{NumClients: n, Model: model.ResNet18, Class: class, Seed: seed})
+			if p.Len() != n {
+				t.Fatalf("Len = %d, want %d", p.Len(), n)
+			}
+			for i, want := range ref {
+				c := p.Client(i)
+				if c.Samples() != want.samples ||
+					math.Float64bits(c.Speed()) != math.Float64bits(want.speed) ||
+					math.Float64bits(c.LabelSkew) != math.Float64bits(want.labelSkew) {
+					t.Fatalf("class %d seed %d client %d: (%d, %v, %v), eager (%d, %v, %v)",
+						class, seed, i, c.Samples(), c.Speed(), c.LabelSkew, want.samples, want.speed, want.labelSkew)
+				}
 			}
 		}
+	}
+}
+
+// TestClientSize pins the resident cost per client: three float64 draws.
+func TestClientSize(t *testing.T) {
+	if got := unsafe.Sizeof(Client{}); got != 24 {
+		t.Fatalf("Client is %d B, want 24", got)
+	}
+}
+
+// TestZeroSampleDrawTakesCap pins the u = 0 draw (math/rand's Float64 is
+// Int63()/2⁶³, so 0 has probability 2⁻⁶³ per client): math.Pow(0, -0.45)
+// is +Inf, whose int conversion is platform-defined (a huge negative
+// FedAvg weight on amd64), so Samples returns the cap instead.
+func TestZeroSampleDrawTakesCap(t *testing.T) {
+	c := Client{u: 0}
+	if got := c.Samples(); got != 2_000 {
+		t.Fatalf("Samples() with u = 0 is %d, want the 2000 cap", got)
+	}
+	if got := (&Client{u: math.SmallestNonzeroFloat64}).Samples(); got != 2_000 {
+		t.Fatalf("Samples() with the smallest positive u is %d, want the 2000 cap", got)
+	}
+	if got := (&Client{u: 1 - 0x1p-53}).Samples(); got != 150 {
+		t.Fatalf("Samples() with u just below 1 is %d, want 150", got)
 	}
 }
 
@@ -90,15 +144,11 @@ func TestSampleCountsHeavyTailed(t *testing.T) {
 	lo, hi := 1<<30, 0
 	for i := 0; i < p.Len(); i++ {
 		c := p.Client(i)
-		if c.Samples <= 0 {
-			t.Fatalf("client %d has %d samples", i, c.Samples)
+		n := c.Samples()
+		if n <= 0 {
+			t.Fatalf("client %d has %d samples", i, n)
 		}
-		if c.Samples < lo {
-			lo = c.Samples
-		}
-		if c.Samples > hi {
-			hi = c.Samples
-		}
+		lo, hi = min(lo, n), max(hi, n)
 	}
 	if hi < 4*lo {
 		t.Fatalf("no tail: min %d max %d", lo, hi)
@@ -407,5 +457,16 @@ func BenchmarkLocalUpdateInto(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(float64(dst.Len())/1e3), "ns/kelem")
 		})
+	}
+}
+
+var popSink *Population
+
+// BenchmarkNewPopulation times synthesis of 1M mobile clients — the
+// per-layer figure flbench reports as flwork.population_s, scaled down.
+func BenchmarkNewPopulation(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		popSink = NewPopulation(sim.NewEngine(), Config{NumClients: 1_000_000, Model: model.ResNet18, Class: Mobile, Seed: 1})
 	}
 }

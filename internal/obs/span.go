@@ -12,8 +12,6 @@ const (
 	KindNetwork = "Network" // receiving/transferring model updates
 	KindAgg     = "Agg"     // aggregation compute
 	KindEval    = "Eval"    // post-round global model evaluation
-	KindStartup = "Startup" // sandbox cold/warm start
-	KindQueue   = "Queue"   // time spent queued before service
 )
 
 // Span is one task execution by one actor on one timeline. Start and End

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -144,8 +145,8 @@ func (r *ElasticRouter) seal() {
 // Join adds a fresh cell with the given routing weight and returns its id.
 // Only future arrivals route onto it; no existing client re-homes.
 func (r *ElasticRouter) Join(weight float64) (int, error) {
-	if weight <= 0 {
-		return 0, fmt.Errorf("placement: join weight %v must be > 0", weight)
+	if !validWeight(weight) {
+		return 0, fmt.Errorf("placement: join weight %v must be finite and > 0", weight)
 	}
 	id := len(r.weight)
 	r.weight = append(r.weight, weight)
@@ -161,13 +162,17 @@ func (r *ElasticRouter) SetWeight(cell int, weight float64) error {
 	if cell < 0 || cell >= len(r.weight) || !r.live[cell] {
 		return fmt.Errorf("placement: weight change on unknown or drained cell %d", cell)
 	}
-	if weight <= 0 {
-		return fmt.Errorf("placement: weight %v must be > 0", weight)
+	if !validWeight(weight) {
+		return fmt.Errorf("placement: weight %v must be finite and > 0", weight)
 	}
 	r.weight[cell] = weight
 	r.seal()
 	return nil
 }
+
+// validWeight reports whether w is a usable live-cell routing weight:
+// finite and positive (NaN fails the comparison).
+func validWeight(w float64) bool { return w > 0 && !math.IsInf(w, 1) }
 
 // Drain retires a live cell. Exactly the clients homed on it re-home —
 // each by an independent deterministic re-draw over the survivors' weight
@@ -198,14 +203,14 @@ func (r *ElasticRouter) Home(client int) int {
 	}
 	ep := r.epochs[e]
 	u := hash01(r.seed ^ (uint64(client)+1)*0x9E3779B97F4A7C15)
-	cell := ep.ids[sort.SearchFloat64s(ep.cum, u)]
+	cell := ep.ids[cellIndex(ep.cum, u)]
 	for !r.live[cell] {
 		d := r.drains[cell]
 		// Salt the re-draw by the drained cell so each hop of a drain chain
 		// is an independent uniform draw, still a pure function of
 		// (seed, client, drained cell).
 		u = hash01(r.seed ^ (uint64(client)+1)*0x9E3779B97F4A7C15 ^ (uint64(cell)+1)*0xD1B54A32D192ED03)
-		cell = d.ids[sort.SearchFloat64s(d.cum, u)]
+		cell = d.ids[cellIndex(d.cum, u)]
 	}
 	return cell
 }

@@ -106,10 +106,11 @@ func init() {
 		Bench:          BenchMeta{Class: ClassLong, Repeats: 3, Milestones: []float64{0.50, 0.70}},
 	})
 	// Ten-million scale: the staged round loop's headline entry. Chunked
-	// value-backed population storage plus the parallel synthesis and
-	// materialization stages keep a 10M-client run in whole-seconds
-	// territory; Workers pins the pool the stages may use (the Report is
-	// byte-identical for any value, so the pin is wall-clock only).
+	// value-backed population storage (raw draws, attributes derived on
+	// access) plus the parallel materialization stage keep a 10M-client
+	// run in whole-seconds territory; Workers pins the pool the stages may
+	// use (the Report is byte-identical for any value, so the pin is
+	// wall-clock only).
 	mustRegister(Scenario{
 		Name:           "10m-clients",
 		Description:    "scale: 10M-client population, staged round loop, 8 workers",
